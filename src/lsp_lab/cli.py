@@ -16,8 +16,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,14 +24,11 @@ import numpy as np
 from . import asymptotics, density_kit, solver
 from . import verify as verify_mod
 from .errors import (
-    BracketError,
-    ClassificationError,
     ConvergenceError,
     DomainError,
     InfiniteMeanError,
-    NonMonotonePredicateError,
+    LspLabError,
     NotApplicableError,
-    WindowError,
 )
 
 log = logging.getLogger("lsp_lab")
@@ -161,6 +157,11 @@ def _cmd_solve(cfg: RunConfig) -> int:
         seq = solver.finite_horizon_optimize(model, cfg.horizon_n, sconf)
     else:
         seq = solver.solve(model, sconf)
+    return _render_solve(model, seq, cfg)
+
+
+def _render_solve(model, seq, cfg: RunConfig) -> int:
+    """Write a solved sequence; cfg.samples attaches a Monte Carlo estimate."""
     payload = {"schema": SCHEMA_VERSION, **seq.to_dict()}
     if cfg.samples:
         est = verify_mod.expected_search_time_mc(
@@ -206,12 +207,15 @@ def _prediction_for(model, law: str, cfg: RunConfig, seq=None):
         ks = list(range(1, min(cfg.k_max, len(seq.points) - 2) + 1))
     else:
         ks = list(range(2, cfg.k_max + 1))
-    return asymptotics.predict_sequence(model, law, ks, sequence=seq), seq
+    return asymptotics.predict_sequence(model, law, ks, sequence=seq)
 
 
 def _cmd_predict(cfg: RunConfig) -> int:
     model = density_kit.parse_spec(cfg.dist)
-    pred, _ = _prediction_for(model, cfg.law, cfg)
+    return _render_predict(_prediction_for(model, cfg.law, cfg), cfg)
+
+
+def _render_predict(pred, cfg: RunConfig) -> int:
     payload = {"schema": SCHEMA_VERSION, **pred.to_dict()}
     header = ["k", "predicted"]
     rows = [(k, pred.values[k]) for k in sorted(pred.values)]
@@ -242,15 +246,22 @@ def _cmd_verify(cfg: RunConfig) -> int:
     model = density_kit.parse_spec(cfg.dist)
     seq = solver.solve(model, solver.SolverConfig(k_max=cfg.k_max))
     law = cfg.law or _default_law(density_kit.classify_tail(model))
-    lo, hi = cfg.window
+    return _render_verify(_verify_report(model, seq, law, cfg.window), cfg)
+
+
+def _verify_report(model, seq, law: str, window: Tuple[int, int]):
+    lo, hi = window
     ks = list(range(lo, hi + 1))
     pred = asymptotics.predict_sequence(model, law, ks, sequence=seq)
-    report = verify_mod.compare(seq, pred, cfg.window)
+    return verify_mod.compare(seq, pred, window)
+
+
+def _render_verify(report, cfg: RunConfig) -> int:
     payload = {"schema": SCHEMA_VERSION, **report.to_dict()}
     header = ["k", "numeric", "predicted", "ratio"]
     rows = [(k, n, p, r) for (k, n, p, r) in report.rows]
     _emit(payload, header, rows, cfg)
-    log.info("verdict for %s under %s: %s", cfg.dist, law, report.verdict)
+    log.info("verdict for %s under %s: %s", report.model_id, report.law, report.verdict)
     return EXIT_OK if report.verdict == verify_mod.VERDICT_CONVERGING else EXIT_NOT_CONVERGING
 
 
@@ -266,60 +277,26 @@ def _default_window(seq, law: str) -> Tuple[int, int]:
 
 
 def _sweep_entry(dist: str, cfg: RunConfig, out_dir: str) -> int:
+    base = os.path.join(out_dir, _slug(dist))
+
+    def to(step: str) -> RunConfig:
+        return replace(cfg, out_path=f"{base}.{step}.{cfg.format}")
+
     try:
         model = density_kit.parse_spec(dist)
-        sconf = solver.SolverConfig(k_max=cfg.k_max)
-        seq = solver.solve(model, sconf)
-        base = os.path.join(out_dir, _slug(dist))
-        ext = cfg.format
-
-        sub = RunConfig(
-            command="solve", dist=dist, k_max=cfg.k_max, format=cfg.format,
-            out_path=f"{base}.solve.{ext}",
-        )
-        header, rows = _sequence_csv(model, seq)
-        _emit({"schema": SCHEMA_VERSION, **seq.to_dict()}, header, rows, sub)
-
-        tail = density_kit.classify_tail(model)
+        seq = solver.solve(model, solver.SolverConfig(k_max=cfg.k_max))
+        _render_solve(model, seq, to("solve"))
         try:
-            law = cfg.law or _default_law(tail)
+            law = cfg.law or _default_law(density_kit.classify_tail(model))
         except NotApplicableError:
             log.info("%s: terminating class, nothing to predict", dist)
             return EXIT_OK
-
-        pred, _ = _prediction_for(model, law, cfg, seq=seq)
-        sub.out_path = f"{base}.predict.{ext}"
-        _emit(
-            {"schema": SCHEMA_VERSION, **pred.to_dict()},
-            ["k", "predicted"],
-            [(k, pred.values[k]) for k in sorted(pred.values)],
-            sub,
-        )
-
+        _render_predict(_prediction_for(model, law, cfg, seq=seq), to("predict"))
         window = cfg.window or _default_window(seq, law)
-        ks = list(range(window[0], window[1] + 1))
-        pred = asymptotics.predict_sequence(model, law, ks, sequence=seq)
-        report = verify_mod.compare(seq, pred, window)
-        sub.out_path = f"{base}.verify.{ext}"
-        _emit(
-            {"schema": SCHEMA_VERSION, **report.to_dict()},
-            ["k", "numeric", "predicted", "ratio"],
-            report.rows,
-            sub,
-        )
-        ok = report.verdict == verify_mod.VERDICT_CONVERGING
-        log.info("%s: verdict %s", dist, report.verdict)
-        return EXIT_OK if ok else EXIT_NOT_CONVERGING
-    except InfiniteMeanError as exc:
+        return _render_verify(_verify_report(model, seq, law, window), to("verify"))
+    except LspLabError as exc:
         log.error("%s: %s", dist, exc)
-        return EXIT_INFINITE_MEAN
-    except (DomainError, ClassificationError, NotApplicableError, WindowError,
-            BracketError, NonMonotonePredicateError) as exc:
-        log.error("%s: %s", dist, exc)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        log.error("%s: %s", dist, exc)
-        return EXIT_NOT_CONVERGING
+        return _exit_code(exc)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -333,11 +310,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         raise DomainError(f"manifest {cfg.dist_list!r} lists no densities")
     out_dir = cfg.out_path or "sweep-out"
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            codes = list(pool.map(lambda d: _sweep_entry(d, cfg, out_dir), entries))
-    else:
-        codes = [_sweep_entry(d, cfg, out_dir) for d in entries]
+    codes = [_sweep_entry(d, cfg, out_dir) for d in entries]
     # report the most severe per-entry status
     return max(codes)
 
@@ -401,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k-max", type=int, default=60, dest="k_max")
     p_sweep.add_argument("--law", default=None, choices=_LAW_CHOICES)
     p_sweep.add_argument("--window", default=None, type=_window_arg)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; entries run serially")
     return parser
 
 
@@ -411,6 +385,15 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,
 }
+
+
+def _exit_code(exc: Exception) -> int:
+    """The documented exit code for an error that ends a command."""
+    if isinstance(exc, InfiniteMeanError):
+        return EXIT_INFINITE_MEAN
+    if isinstance(exc, ConvergenceError):
+        return EXIT_NOT_CONVERGING
+    return EXIT_USAGE
 
 
 def main(argv=None) -> int:
@@ -430,17 +413,12 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**fields)
         return _COMMANDS[cfg.command](cfg)
-    except InfiniteMeanError as exc:
+    except (LspLabError, OSError) as exc:
         print(f"lsp-lab: {exc}", file=sys.stderr)
-        return EXIT_INFINITE_MEAN
-    except (DomainError, ClassificationError, NotApplicableError, WindowError,
-            BracketError, NonMonotonePredicateError, OSError) as exc:
-        print(f"lsp-lab: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"lsp-lab: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGING
+        code = _exit_code(exc)
+        if code == EXIT_USAGE:
+            parser.print_usage(sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -315,18 +315,36 @@ def _compact_forms(model: DensityModel, tail: density_kit.TailClass):
     )
 
 
+def _compact_log_w(A0: float, s: float, Lk: float, Lk1: float):
+    """log W_k in log-gap coordinates, with its partials in L_k and L_{k+1}.
+
+    W_k = A0 (2 - e^{-L_k} - e^{-L_{k+1}}) e^{s L_k} - 1 for the forms of
+    _compact_forms; a terminal slot passes L_{k+1} = inf.  Returns
+    (log W_k, d/dL_k, d/dL_{k+1}), or None when W_k <= 1e-300 and the
+    step is undefined.
+    """
+    ek = math.exp(-Lk) if Lk < 700 else 0.0
+    ek1 = math.exp(-Lk1) if Lk1 < 700 else 0.0
+    m = A0 * (2.0 - ek - ek1)
+    t = s * Lk
+    et = math.exp(-t) if t < 700 else 0.0
+    if t > 40.0:
+        lw = math.log(m) + t + math.log1p(-et / m)
+    else:
+        w = m * math.exp(t) - 1.0
+        if not w > 1e-300:
+            return None
+        lw = math.log(w)
+    den = m - et
+    return lw, (A0 * ek + s * m) / den, A0 * ek1 / den
+
+
 def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine:
     A0, s, H, _ = _compact_forms(model, tail)
 
     def log_w(Lk, Lk1):
-        ek = math.exp(-Lk) if Lk < 700 else 0.0
-        ek1 = math.exp(-Lk1) if Lk1 < 700 else 0.0
-        m = A0 * (2.0 - ek - ek1)
-        t = s * Lk
-        if t > 40.0:
-            return math.log(m) + t + math.log1p(-math.exp(-t) / m)
-        w = m * math.exp(t) - 1.0
-        return math.log(w) if w > 1e-300 else None
+        terms = _compact_log_w(A0, s, Lk, Lk1)
+        return None if terms is None else terms[0]
 
     if tail.kind == COMPACT_POWER_LAW:
         c = tail.index
@@ -336,7 +354,12 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine
             return v / c
 
         def law(t):
-            return max(1e-9, r**t - math.log(2.0 * c))
+            try:
+                return max(1e-9, r**t - math.log(2.0 * c))
+            except OverflowError:
+                raise ConvergenceError(
+                    f"{model.spec_string()}: seed law overflows at index {t:g}"
+                ) from None
 
     else:
         a, b = model.param("a"), model.param("b")
@@ -348,7 +371,12 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine
             # fixed point of the slot-k depth relation for the rv family
             L = max(0.3, math.log(max(t, 2.0)) / b)
             for _ in range(200):
-                Ln = math.log(max(t, 1.5) * b * ((1 + b) * L + math.log(2 * a)) / a) / b
+                depth = max(t, 1.5) * b * ((1 + b) * L + math.log(2 * a)) / a
+                if depth <= 0.0:
+                    raise ConvergenceError(
+                        f"{model.spec_string()}: seed law has no fixed point at index {t:g}"
+                    )
+                Ln = math.log(depth) / b
                 if abs(Ln - L) < 1e-14:
                     break
                 L = Ln
@@ -518,35 +546,32 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
 
     if config.cross_check:
         x1 = float(seq.points[1])
-        try:
-            x1_bis = find_x1(model, config)
-            seq.diagnostics["x1_bisection"] = x1_bis
-            rel = abs(x1_bis - x1) / x1
-            seq.diagnostics["x1_bisection_reldev"] = rel
-            if rel > 1e-5:
+        # (diagnostic key, route, deviation threshold, errors that make it
+        # unavailable, its names in the two warnings)
+        checks = (
+            ("x1_bisection", lambda: find_x1(model, config), 1e-5,
+             (BracketError, NonMonotonePredicateError, NotApplicableError),
+             "bisection", "find_x1"),
+            ("x1_oracle",
+             lambda: float(finite_horizon_optimize(model, config.horizon_n, config).points[1]),
+             1e-3, (ConvergenceError, NotApplicableError), "oracle", "oracle"),
+        )
+        for key, route, threshold, errors, name, route_name in checks:
+            try:
+                x1_route = route()
+            except errors as exc:
+                seq.diagnostics[f"{key}_error"] = str(exc)
+                log.warning("%s: %s cross-check unavailable: %s",
+                            model.spec_string(), route_name, exc)
+                continue
+            seq.diagnostics[key] = x1_route
+            rel = abs(x1_route - x1) / x1
+            seq.diagnostics[f"{key}_reldev"] = rel
+            if rel > threshold:
                 log.warning(
-                    "%s: bisection x1=%.12g deviates from solver x1=%.12g (rel %.2e)",
-                    model.spec_string(), x1_bis, x1, rel,
+                    "%s: %s x1=%.12g deviates from solver x1=%.12g (rel %.2e)",
+                    model.spec_string(), name, x1_route, x1, rel,
                 )
-        except (BracketError, NonMonotonePredicateError, NotApplicableError) as exc:
-            seq.diagnostics["x1_bisection_error"] = str(exc)
-            log.warning("%s: find_x1 cross-check unavailable: %s",
-                        model.spec_string(), exc)
-        try:
-            oracle = finite_horizon_optimize(model, config.horizon_n, config)
-            x1_or = float(oracle.points[1])
-            seq.diagnostics["x1_oracle"] = x1_or
-            rel = abs(x1_or - x1) / x1
-            seq.diagnostics["x1_oracle_reldev"] = rel
-            if rel > 1e-3:
-                log.warning(
-                    "%s: oracle x1=%.12g deviates from solver x1=%.12g (rel %.2e)",
-                    model.spec_string(), x1_or, x1, rel,
-                )
-        except (ConvergenceError, NotApplicableError) as exc:
-            seq.diagnostics["x1_oracle_error"] = str(exc)
-            log.warning("%s: oracle cross-check unavailable: %s",
-                        model.spec_string(), exc)
     return seq
 
 
@@ -579,44 +604,53 @@ def _forward_L_shoot(A0, s, H, L1, k_max):
     return ("survived", None)
 
 
+def _scan_bisect(mode, grid, below, above, survived, tol, one_sided, unbracketed):
+    """Bisect the last below-then-above flip of mode across grid.
+
+    Raises one_sided when no grid point is below, unbracketed when no
+    adjacent grid pair flips from below to above.
+    """
+    modes = [mode(t) for t in grid]
+    pair = None
+    for i in range(len(grid) - 1):
+        if modes[i] == below and modes[i + 1] == above:
+            pair = (grid[i], grid[i + 1])
+    if pair is None:
+        raise one_sided if below not in modes else unbracketed
+    a, b = pair
+    while b - a > tol * a:
+        m = 0.5 * (a + b)
+        md = mode(m)
+        if md == survived:
+            a = b = m
+            break
+        if md == below:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def _find_x1_compact(model, tail, config) -> float:
     A0, s, H, _ = _compact_forms(model, tail)
     lo_x, hi_x = config.x1_bracket
     lo = -math.log1p(-min(lo_x, 1.0 - 1e-12))
     hi = -math.log1p(-min(hi_x, 1.0 - 1e-12))
     k_cap = min(config.k_max, 60)
-
-    def mode(L1):
-        return _forward_L_shoot(A0, s, H, L1, k_cap)[0]
-
-    grid = np.geomspace(lo, hi, 120)
-    modes = [mode(t) for t in grid]
-    pair = None
-    for i in range(len(grid) - 1):
-        if modes[i] == "collapse" and modes[i + 1] == "boundary":
-            pair = (grid[i], grid[i + 1])
-    if pair is None:
-        if "collapse" not in modes:
-            raise NonMonotonePredicateError(
-                "no undershoot mode inside the bracket; fall back to "
-                "finite_horizon_optimize"
-            )
-        raise BracketError(
+    L1 = _scan_bisect(
+        lambda L1: _forward_L_shoot(A0, s, H, L1, k_cap)[0],
+        np.geomspace(lo, hi, 120), "collapse", "boundary", "survived",
+        config.bisection_tol,
+        NonMonotonePredicateError(
+            "no undershoot mode inside the bracket; fall back to "
+            "finite_horizon_optimize"
+        ),
+        BracketError(
             "x1 bracket does not straddle the collapse/boundary transition",
             lo=lo_x, hi=hi_x,
-        )
-    a, b = pair
-    while b - a > config.bisection_tol * a:
-        m = 0.5 * (a + b)
-        md = mode(m)
-        if md == "survived":
-            a = b = m
-            break
-        if md == "collapse":
-            a = m
-        else:
-            b = m
-    return -math.expm1(-0.5 * (a + b))
+        ),
+    )
+    return -math.expm1(-L1)
 
 
 def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float:
@@ -641,42 +675,20 @@ def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float
     while model.pdf(lo) < 1e-300 and lo < hi / 4:
         lo *= 10.0
     k_cap = min(config.k_max, 60)
-
-    def mode(x1):
-        return shoot_forward(model, x1, k_cap).outcome
-
-    grid = np.geomspace(lo, hi, 120)
-    modes = [mode(t) for t in grid]
-    pair = None
-    for i in range(len(grid) - 1):
-        if (
-            modes[i] == MONOTONICITY_VIOLATED
-            and modes[i + 1] == NUMERIC_UNDERFLOW
-        ):
-            pair = (grid[i], grid[i + 1])
-    if pair is None:
-        if MONOTONICITY_VIOLATED not in modes:
-            raise NonMonotonePredicateError(
-                "no monotonicity-collapse mode inside the bracket; the "
-                "shooting predicate is one-sided here, fall back to "
-                "finite_horizon_optimize"
-            )
-        raise BracketError(
+    return _scan_bisect(
+        lambda x1: shoot_forward(model, x1, k_cap).outcome,
+        np.geomspace(lo, hi, 120), MONOTONICITY_VIOLATED, NUMERIC_UNDERFLOW, SURVIVED,
+        config.bisection_tol,
+        NonMonotonePredicateError(
+            "no monotonicity-collapse mode inside the bracket; the "
+            "shooting predicate is one-sided here, fall back to "
+            "finite_horizon_optimize"
+        ),
+        BracketError(
             "x1 bracket does not straddle the collapse/underflow transition",
             lo=lo, hi=hi,
-        )
-    a, b = pair
-    while b - a > config.bisection_tol * a:
-        m = 0.5 * (a + b)
-        md = mode(m)
-        if md == SURVIVED:
-            a = b = m
-            break
-        if md == MONOTONICITY_VIOLATED:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -819,10 +831,11 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
         Ls = np.array(
             [0.0]
             + [max(1.2 * r**k - math.log(2 * c), 0.05 * k) for k in range(1, n)]
-            + [0.0]
+            + [math.inf]
         )
     else:
         Ls = np.zeros(n + 1)
+        Ls[n] = math.inf
         for k in range(1, n):
             Ls[k] = max(eng.law(float(k)), Ls[k - 1] + 0.01)
 
@@ -850,7 +863,7 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
         for k in range(1, m_live + 1):
             L_prev = Ls[k - 1]
             g_prev = G(L_prev) if k > 1 else 1.0
-            x_next = 1.0 if k == n - 1 else xof(Ls[k + 1])
+            x_next = xof(Ls[k + 1])
             ub = Ls[k + 1] if k < n - 1 else Ls[k] + 60.0
             rr = optimize.minimize_scalar(
                 lambda L: xof(L) * (G(L) + g_prev) + x_next * G(L),
@@ -879,20 +892,6 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
             Ls[k] = max(eng.law(float(k)), Ls[k - 1] + 0.01)
 
     # banded Newton on the stationarity chain res_k = H(L_k)-H(L_{k-1})-logW_k
-    def logw_terms(Lk, Lk1, terminal):
-        ek = math.exp(-Lk) if Lk < 700 else 0.0
-        ek1 = 0.0 if terminal else (math.exp(-Lk1) if Lk1 < 700 else 0.0)
-        m = A0 * (2.0 - ek - ek1)
-        t = s * Lk
-        if t > 40.0:
-            lw = math.log(m) + t + math.log1p(-(math.exp(-t) if t < 700 else 0.0) / m)
-        else:
-            lw = math.log(m * math.exp(t) - 1.0)
-        den = m - (math.exp(-t) if t < 700 else 0.0)
-        d_k = (A0 * ek + s * m) / den
-        d_k1 = 0.0 if terminal else A0 * ek1 / den
-        return lw, d_k, d_k1
-
     newton_ok = False
     for _ in range(60):
         res = np.zeros(n - 1)
@@ -901,7 +900,13 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
         dhi = np.zeros(n - 1)
         tols = np.ones(n - 1)
         for k in range(1, n):
-            lw, d_k, d_k1 = logw_terms(Ls[k], Ls[k + 1] if k < n - 1 else 0.0, k == n - 1)
+            terms = _compact_log_w(A0, s, Ls[k], Ls[k + 1])
+            if terms is None:
+                raise ConvergenceError(
+                    f"stationarity-chain Newton left the domain of log W at slot {k}",
+                    last_iterate=Ls,
+                )
+            lw, d_k, d_k1 = terms
             res[k - 1] = H(Ls[k]) - H(Ls[k - 1]) - lw
             dmid[k - 1] = Hp(Ls[k]) - d_k
             if k > 1:
@@ -935,8 +940,6 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
             last_iterate=Ls,
         )
     pts = -np.expm1(-Ls)
-    pts[n] = 1.0
-    Ls[n] = math.inf
     # the pinned boundary leg plus its implicit mirror complete coverage,
     # exactly the terminal G_{n-1} term in the truncated objective
     return TurningSequence(

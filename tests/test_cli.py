@@ -314,3 +314,19 @@ def test_log_env_smoke(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "solve", "--dist", "uniform")
     assert code == EXIT_OK
     assert json.loads(out)["points"] == [0.0, 1.0]
+
+
+def test_sweep_solves_each_entry_once(capsys, tmp_path, monkeypatch):
+    import lsp_lab.solver
+
+    calls = []
+    solve = lsp_lab.solver.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].spec_string())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lsp_lab.solver, "solve", counted)
+    code, _ = _run_sweep(capsys, tmp_path, "out")
+    assert code == EXIT_OK
+    assert len(calls) == 3

@@ -224,3 +224,43 @@ def test_custom_model_solves_like_builtin():
     built = solved("logboundary:2", 60)
     rel = np.abs(seq.points[1:31] - built.points[1:31]) / built.points[1:31]
     assert np.max(rel) < 1e-8
+
+
+@pytest.mark.parametrize("spec", ["compactpower:5", "compactpower:10"])
+def test_oracle_log_w_domain_exit_leaves_solve_standing(spec):
+    # the oracle's Newton step leaves the domain of log W on these; the
+    # failure is a recorded unavailable cross-check, not a raw ValueError
+    model = L.parse_spec(spec)
+    config = L.SolverConfig(k_max=60)
+    seq = L.solve(model, config)
+    assert "x1_oracle_error" in seq.diagnostics
+    x1 = L.find_x1(model, config)
+    assert abs(seq.points[1] - x1) / x1 <= 1e-5
+
+
+def test_compact_rv_seed_law_refusal_leaves_solve_standing():
+    # the rv seed law has no fixed point at the oracle's first slots
+    model = L.parse_spec("compactfast:2,0.5")
+    seq = L.solve(model, L.SolverConfig(k_max=60))
+    assert "x1_oracle_error" in seq.diagnostics
+    assert seq.points[1] == pytest.approx(0.60908149073516, rel=1e-12)
+    assert seq.diagnostics["x1_bisection_reldev"] < 1e-12
+
+
+def test_compact_power_seed_law_overflow_is_typed():
+    with pytest.raises(L.LspLabError):
+        L.solve(L.parse_spec("compactpower:1.1"), L.SolverConfig(k_max=60))
+
+
+@pytest.mark.parametrize(
+    "spec,bracket,error",
+    [
+        ("exponential:1", (1e-6, 0.677), L.BracketError),
+        ("exponential:1", (2.71, 50.0), L.NonMonotonePredicateError),
+        ("triangular", (1e-6, 0.328), L.BracketError),
+        ("triangular", (0.9, 0.999), L.NonMonotonePredicateError),
+    ],
+)
+def test_find_x1_error_paths(spec, bracket, error):
+    with pytest.raises(error):
+        L.find_x1(L.parse_spec(spec), L.SolverConfig(x1_bracket=bracket))

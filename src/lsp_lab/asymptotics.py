@@ -18,8 +18,6 @@ from scipy import integrate, optimize
 
 from .density_kit import (
     COMPACT_POWER_LAW,
-    COMPACT_RV,
-    COMPACT_TERMINATING,
     HALF_LINE,
     LOG_BOUNDARY,
     POWER_LAW,
@@ -203,38 +201,18 @@ def invert_index(
 
 
 def closed_form_xk(model: DensityModel, k: float) -> float:
-    """The explicitly solvable leading-order position laws.
+    """The model's explicitly solvable leading-order position law at k.
 
-    Available for polynomial hazards a x^b (includes the exponential at
-    b=0 in the formula's degenerate sense), the lognormal, exponential
-    hazards, and the compact fast family.  Everything else has no
-    closed form here.
-
-    For compactfast (hazard a/(1-x)^(1+b)) the stationarity relation
-    H(x_k) - H(x_{k-1}) ~ log(2h(x_k)) becomes dv/dk ~ ((1+b)/a) log v
-    in v = (1-x)^(-b), so the residual is 1 - x_k ~ ((1+b)/a k log k)^(-1/b).
+    Only the families whose constructors declare a closed form have one;
+    everything else raises NotApplicableError.
     """
     if k < 2:
         raise DomainError("closed forms need k >= 2 (log k > 0)")
-    fam = model.family
-    if fam == "exponential":
-        a = model.param("rate")
-        return k * math.log(k) / a
-    if fam == "stretchedexp":
-        a, b = model.param("a"), model.param("b")
-        return ((1.0 + b) / a * k * math.log(k)) ** (1.0 / (1.0 + b))
-    if fam == "lognormal":
-        s = model.param("sigma")
-        # hazard ~ (log x)/(s^2 x): the polynomial-law exponent vanishes
-        # and the position law becomes exp of a square root
-        return math.exp(s * math.sqrt(k * math.log(k)))
-    if fam == "gumbel":
-        a = model.param("a")
-        return math.log(k) / a
-    if fam == "compactfast":
-        a, b = model.param("a"), model.param("b")
-        return 1.0 - ((1.0 + b) / a * k * math.log(k)) ** (-1.0 / b)
-    raise NotApplicableError(f"no closed-form position law for {fam}")
+    if model.closed_form is None:
+        raise NotApplicableError(
+            f"no closed-form position law for {model.spec_string()}"
+        )
+    return model.closed_form(k)
 
 
 def pareto_rate(a: float) -> float:

@@ -8,8 +8,10 @@ evaluated in hazard form far past the range where the survival function
 underflows.
 
 Supports are either the half line [0, inf) or the unit interval [0, 1].
-On the unit interval the natural deep coordinate is L = -log(1 - x); the
-solver reads the per-family L-forms off the family name and parameters.
+On the unit interval the natural deep coordinate is L = -log(1 - x).
+Each constructor states its family's facts once, on the model: tail
+class, closed-form position law and compact-rv hazard parameters.  The
+solver and the laws read those fields, never the family name.
 """
 
 from __future__ import annotations
@@ -112,7 +114,13 @@ class DensityModel:
     _cum_hazard: Callable = field(repr=False)
     _inv_cum_hazard: Callable = field(repr=False)
     _quantile: Callable = field(repr=False)
-    declared_tail: Optional[TailClass] = field(default=None, repr=False)
+    # None when no class applies: infinite mean, or a custom model that
+    # declares none.
+    tail: Optional[TailClass] = field(default=None, repr=False)
+    # Leading-order position law k -> x_k, if the family has one.
+    closed_form: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    # (a, b) of a compact-rv hazard a/(1-x)^(1+b), exactly as given.
+    rv_params: Optional[tuple[float, float]] = field(default=None, repr=False)
     # Closed-form first moment if the family has one; None means integrate.
     _moment: Optional[float] = field(default=None, repr=False)
 
@@ -198,6 +206,8 @@ def exponential(rate: float = 1.0) -> DensityModel:
         _cum_hazard=lambda x: lam * x,
         _inv_cum_hazard=lambda v: v / lam,
         _quantile=lambda u: -np.log1p(-u) / lam,
+        tail=TailClass(SUB_LOG),
+        closed_form=lambda k: k * math.log(k) / lam,
         _moment=1.0 / lam,
     )
 
@@ -217,6 +227,8 @@ def stretched_exp(a: float = 1.0, b: float = 1.0) -> DensityModel:
         _cum_hazard=lambda x: a * np.power(x, p) / p,
         _inv_cum_hazard=lambda v: np.power(p * v / a, 1.0 / p),
         _quantile=lambda u: np.power(p * (-np.log1p(-u)) / a, 1.0 / p),
+        tail=TailClass(SUPER_LOG, index=float(b)),
+        closed_form=lambda k: ((1.0 + b) / a * k * math.log(k)) ** (1.0 / (1.0 + b)),
     )
 
 
@@ -235,6 +247,7 @@ def lomax(a: float) -> DensityModel:
         _cum_hazard=lambda x: a * np.log1p(x),
         _inv_cum_hazard=lambda v: np.expm1(v / a),
         _quantile=lambda u: np.expm1(-np.log1p(-u) / a),
+        tail=TailClass(POWER_LAW, index=a) if a > 1.0 else None,
         _moment=(1.0 / (a - 1.0)) if a > 1.0 else math.inf,
     )
 
@@ -298,6 +311,10 @@ def lognormal(sigma: float = 1.0) -> DensityModel:
         _cum_hazard=cum_hazard,
         _inv_cum_hazard=inv_cum_hazard,
         _quantile=quantile,
+        tail=TailClass(SUB_LOG),
+        # hazard ~ (log x)/(s^2 x): the polynomial-law exponent vanishes
+        # and the position law becomes exp of a square root
+        closed_form=lambda k: math.exp(s * math.sqrt(k * math.log(k))),
         _moment=math.exp(0.5 * s * s),
     )
 
@@ -317,6 +334,8 @@ def gumbel_hazard(a: float = 1.0) -> DensityModel:
         _cum_hazard=lambda x: np.expm1(a * x) / a,
         _inv_cum_hazard=lambda v: np.log1p(a * v) / a,
         _quantile=lambda u: np.log1p(-a * np.log1p(-u)) / a,
+        tail=TailClass(SUPER_LOG, rapid=True),
+        closed_form=lambda k: math.log(k) / a,
     )
 
 
@@ -356,7 +375,7 @@ def log_boundary(c: float = 2.0) -> DensityModel:
         _cum_hazard=cum_hazard,
         _inv_cum_hazard=inv_cum_hazard,
         _quantile=lambda u: inv_cum_hazard(-np.log1p(-u)),
-        declared_tail=TailClass(LOG_BOUNDARY, index=c),
+        tail=TailClass(LOG_BOUNDARY, index=c),
     )
 
 
@@ -371,6 +390,7 @@ def uniform() -> DensityModel:
         _cum_hazard=lambda x: -np.log1p(-x),
         _inv_cum_hazard=lambda v: -np.expm1(-v),
         _quantile=lambda u: np.asarray(u, dtype=float),
+        tail=TailClass(COMPACT_TERMINATING),
         _moment=0.5,
     )
 
@@ -387,6 +407,7 @@ def triangular() -> DensityModel:
         _cum_hazard=lambda x: -2.0 * np.log1p(-x),
         _inv_cum_hazard=lambda v: -np.expm1(-0.5 * v),
         _quantile=lambda u: -np.expm1(0.5 * np.log1p(-u)),
+        tail=TailClass(COMPACT_POWER_LAW, index=2.0),
         _moment=1.0 / 3.0,
     )
 
@@ -406,6 +427,9 @@ def compact_power(c: float) -> DensityModel:
         _cum_hazard=lambda x: -c * np.log1p(-x),
         _inv_cum_hazard=lambda v: -np.expm1(-v / c),
         _quantile=lambda u: -np.expm1(np.log1p(-u) / c),
+        # at or below c = 1 the optimal plan reaches the endpoint in one pass
+        tail=(TailClass(COMPACT_POWER_LAW, index=c) if c > 1.0
+              else TailClass(COMPACT_TERMINATING)),
         _moment=1.0 / (1.0 + c),
     )
 
@@ -422,18 +446,33 @@ def compact_fast(a: float = 1.0, b: float = 1.0) -> DensityModel:
     def inv_cum_hazard(v):
         return -np.expm1(-np.log1p(b * np.asarray(v, dtype=float) / a) / b)
 
+    @_shaped
+    def pdf(xs):
+        # the density vanishes at x = 1, where the formula reads inf * 0
+        out = np.zeros_like(xs)
+        inner = xs < 1.0
+        xi = xs[inner]
+        out[inner] = a * np.power(1.0 - xi, -(1.0 + b)) * np.exp(-cum_hazard(xi))
+        return out
+
+    def closed_form(k):
+        # H(x_k) - H(x_{k-1}) ~ log(2h(x_k)) becomes dv/dk ~ ((1+b)/a) log v
+        # in v = (1-x)^(-b), so 1 - x_k ~ ((1+b)/a k log k)^(-1/b)
+        return 1.0 - ((1.0 + b) / a * k * math.log(k)) ** (-1.0 / b)
+
     return DensityModel(
         family="compactfast",
         params=(a, b),
         param_names=("a", "b"),
         support=UNIT_INTERVAL,
-        _pdf=lambda x: a
-        * np.power(1.0 - x, -(1.0 + b))
-        * np.exp(-cum_hazard(x)),
+        _pdf=pdf,
         _hazard=lambda x: a * np.power(1.0 - x, -(1.0 + b)),
         _cum_hazard=cum_hazard,
         _inv_cum_hazard=inv_cum_hazard,
         _quantile=lambda u: inv_cum_hazard(-np.log1p(-u)),
+        tail=TailClass(COMPACT_RV, index=1.0 + b),
+        closed_form=closed_form,
+        rv_params=(a, b),
     )
 
 
@@ -450,7 +489,9 @@ def custom(
     Without a closed-form cumulative hazard every call integrates from 0,
     which is correct but slow inside the solver; pass one when you have it.
     The tail class must be declared explicitly for classify_tail or solve
-    to work: it is never inferred from hazard samples.
+    to work: it is never inferred from hazard samples, nor from the name.
+    A declared compact-rv class classifies but does not solve: the
+    solver's log-gap forms need the (a, b) that only compactfast carries.
     """
     if support not in (HALF_LINE, UNIT_INTERVAL):
         raise DomainError(f"unknown support kind {support!r}")
@@ -515,7 +556,7 @@ def custom(
         _cum_hazard=H_arr,
         _inv_cum_hazard=Hinv_arr,
         _quantile=quantile,
-        declared_tail=tail,
+        tail=tail,
     )
 
 
@@ -558,42 +599,21 @@ def first_abs_moment(model: DensityModel) -> float:
 
 
 def classify_tail(model: DensityModel) -> TailClass:
-    """Map a model to its tail class.
+    """The model's tail class, as its constructor declared it.
 
-    Built-in families use the known table; custom densities must declare
-    their class (guessing from hazard samples is not classification).
+    Custom densities must declare their class (guessing from hazard
+    samples is not classification); their name plays no part.
     """
-    fam = model.family
-    if fam in ("exponential", "lognormal"):
-        return TailClass(SUB_LOG)
-    if fam == "stretchedexp":
-        return TailClass(SUPER_LOG, index=model.param("b"))
-    if fam == "gumbel":
-        return TailClass(SUPER_LOG, rapid=True)
-    if fam == "lomax":
-        a = model.param("a")
-        if a <= 1.0:
-            raise InfiniteMeanError(
-                "lomax with exponent <= 1 has an infinite mean; no plan has "
-                "finite expected time"
-            )
-        return TailClass(POWER_LAW, index=a)
-    if fam == "uniform":
-        return TailClass(COMPACT_TERMINATING)
-    if fam == "triangular":
-        return TailClass(COMPACT_POWER_LAW, index=2.0)
-    if fam == "compactpower":
-        c = model.param("c")
-        if c <= 1.0:
-            return TailClass(COMPACT_TERMINATING)
-        return TailClass(COMPACT_POWER_LAW, index=c)
-    if fam == "compactfast":
-        return TailClass(COMPACT_RV, index=1.0 + model.param("b"))
-    if model.declared_tail is not None:
-        return model.declared_tail
+    if model.tail is not None:
+        return model.tail
+    if model._moment is not None and math.isinf(model._moment):
+        raise InfiniteMeanError(
+            f"{model.spec_string()} has an infinite mean; no plan has finite "
+            "expected time"
+        )
     raise ClassificationError(
-        f"no declared tail class for {model.family}; custom densities must "
-        "state their class explicitly"
+        f"no declared tail class for {model.spec_string()}; custom densities "
+        "must state their class explicitly"
     )
 
 

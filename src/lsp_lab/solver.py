@@ -296,30 +296,11 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
     return _Engine(model.spec_string(), "x", H, Hinv, log_w, lambda u: u, law)
 
 
-def _compact_forms(model: DensityModel, tail: density_kit.TailClass):
-    """(A0, s, H_L, H_L') for the built-in unit-interval families."""
-    if tail.kind == COMPACT_POWER_LAW:
-        c = tail.index
-        return c, 1.0, (lambda L: c * L), (lambda L: c)
-    if tail.kind == COMPACT_RV:
-        a, b = model.param("a"), model.param("b")
-        return (
-            a,
-            1.0 + b,
-            (lambda L: (a / b) * math.expm1(b * L)),
-            (lambda L: a * math.exp(b * L)),
-        )
-    raise NotApplicableError(
-        f"no log-gap forms for {model.spec_string()}; custom compact hazards "
-        "leave float range in x coordinates and are not supported by solve"
-    )
-
-
 def _compact_log_w(A0: float, s: float, Lk: float, Lk1: float):
     """log W_k in log-gap coordinates, with its partials in L_k and L_{k+1}.
 
     W_k = A0 (2 - e^{-L_k} - e^{-L_{k+1}}) e^{s L_k} - 1 for the forms of
-    _compact_forms; a terminal slot passes L_{k+1} = inf.  Returns
+    _compact_engine; a terminal slot passes L_{k+1} = inf.  Returns
     (log W_k, d/dL_k, d/dL_{k+1}), or None when W_k <= 1e-300 and the
     step is undefined.
     """
@@ -339,19 +320,31 @@ def _compact_log_w(A0: float, s: float, Lk: float, Lk1: float):
     return lw, (A0 * ek + s * m) / den, A0 * ek1 / den
 
 
-def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine:
-    A0, s, H, _ = _compact_forms(model, tail)
+@dataclass
+class _CompactEngine(_Engine):
+    """An engine in L that also carries the log-gap forms and seed slots.
 
-    def log_w(Lk, Lk1):
-        terms = _compact_log_w(A0, s, Lk, Lk1)
-        return None if terms is None else terms[0]
+    A0 and s give W_k through _compact_log_w, Hp is dH/dL; first_slot and
+    next_slot give the oracle's slot k from slot k-1, before its descent
+    and past its live prefix.
+    """
 
+    A0: float
+    s: float
+    Hp: Callable[[float], float]
+    first_slot: Callable[[int, float], float]
+    next_slot: Callable[[int, float], float]
+
+
+def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _CompactEngine:
+    """The one place the compact solver branches on the tail kind."""
     if tail.kind == COMPACT_POWER_LAW:
         c = tail.index
         r = c / (c - 1.0)
-
-        def hc_inv(v):
-            return v / c
+        A0, s = c, 1.0
+        H = lambda L: c * L
+        Hp = lambda L: c
+        Hinv = lambda v: v / c
 
         def law(t):
             try:
@@ -361,11 +354,14 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine
                     f"{model.spec_string()}: seed law overflows at index {t:g}"
                 ) from None
 
-    else:
-        a, b = model.param("a"), model.param("b")
-
-        def hc_inv(v):
-            return math.log1p(b * v / a) / b
+        first_slot = lambda k, L_prev: max(1.2 * r**k - math.log(2 * c), 0.05 * k)
+        next_slot = lambda k, L_prev: (c * L_prev + math.log(2 * c)) / (c - 1.0)
+    elif tail.kind == COMPACT_RV and model.rv_params is not None:
+        a, b = model.rv_params
+        A0, s = a, 1.0 + b
+        H = lambda L: (a / b) * math.expm1(b * L)
+        Hp = lambda L: a * math.exp(b * L)
+        Hinv = lambda v: math.log1p(b * v / a) / b
 
         def law(t):
             # fixed point of the slot-k depth relation for the rv family
@@ -382,8 +378,20 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine
                 L = Ln
             return Ln
 
-    return _Engine(
-        model.spec_string(), "L", H, hc_inv, log_w, lambda L: -math.expm1(-L), law
+        first_slot = next_slot = lambda k, L_prev: max(law(float(k)), L_prev + 0.01)
+    else:
+        raise NotApplicableError(
+            f"no log-gap forms for {model.spec_string()}: the solver has them for "
+            "compact power laws and for the compactfast hazard a/(1-x)^(1+b) only"
+        )
+
+    def log_w(Lk, Lk1):
+        terms = _compact_log_w(A0, s, Lk, Lk1)
+        return None if terms is None else terms[0]
+
+    return _CompactEngine(
+        model.spec_string(), "L", H, Hinv, log_w, lambda L: -math.expm1(-L), law,
+        A0, s, Hp, first_slot, next_slot,
     )
 
 
@@ -632,13 +640,13 @@ def _scan_bisect(mode, grid, below, above, survived, tol, one_sided, unbracketed
 
 
 def _find_x1_compact(model, tail, config) -> float:
-    A0, s, H, _ = _compact_forms(model, tail)
+    eng = _compact_engine(model, tail)
     lo_x, hi_x = config.x1_bracket
     lo = -math.log1p(-min(lo_x, 1.0 - 1e-12))
     hi = -math.log1p(-min(hi_x, 1.0 - 1e-12))
     k_cap = min(config.k_max, 60)
     L1 = _scan_bisect(
-        lambda L1: _forward_L_shoot(A0, s, H, L1, k_cap)[0],
+        lambda L1: _forward_L_shoot(eng.A0, eng.s, eng.hc, L1, k_cap)[0],
         np.geomspace(lo, hi, 120), "collapse", "boundary", "survived",
         config.bisection_tol,
         NonMonotonePredicateError(
@@ -822,22 +830,12 @@ def _oracle_halfline(model, n, config) -> TurningSequence:
 
 
 def _oracle_compact(model, n, tail, config) -> TurningSequence:
-    A0, s, H, Hp = _compact_forms(model, tail)
     eng = _compact_engine(model, tail)
-
-    if tail.kind == COMPACT_POWER_LAW:
-        c = tail.index
-        r = c / (c - 1.0)
-        Ls = np.array(
-            [0.0]
-            + [max(1.2 * r**k - math.log(2 * c), 0.05 * k) for k in range(1, n)]
-            + [math.inf]
-        )
-    else:
-        Ls = np.zeros(n + 1)
-        Ls[n] = math.inf
-        for k in range(1, n):
-            Ls[k] = max(eng.law(float(k)), Ls[k - 1] + 0.01)
+    H, Hp = eng.hc, eng.Hp
+    Ls = np.zeros(n + 1)
+    Ls[n] = math.inf
+    for k in range(1, n):
+        Ls[k] = eng.first_slot(k, Ls[k - 1])
 
     def G(L):
         v = H(L)
@@ -883,13 +881,8 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
             last_iterate=Ls,
         )
     # re-anchor the objective-flat tail on the converged prefix
-    if tail.kind == COMPACT_POWER_LAW:
-        c = tail.index
-        for k in range(m_live + 1, n):
-            Ls[k] = (c * Ls[k - 1] + math.log(2 * c)) / (c - 1.0)
-    else:
-        for k in range(m_live + 1, n):
-            Ls[k] = max(eng.law(float(k)), Ls[k - 1] + 0.01)
+    for k in range(m_live + 1, n):
+        Ls[k] = eng.next_slot(k, Ls[k - 1])
 
     # banded Newton on the stationarity chain res_k = H(L_k)-H(L_{k-1})-logW_k
     newton_ok = False
@@ -900,7 +893,7 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
         dhi = np.zeros(n - 1)
         tols = np.ones(n - 1)
         for k in range(1, n):
-            terms = _compact_log_w(A0, s, Ls[k], Ls[k + 1])
+            terms = _compact_log_w(eng.A0, eng.s, Ls[k], Ls[k + 1])
             if terms is None:
                 raise ConvergenceError(
                     f"stationarity-chain Newton left the domain of log W at slot {k}",

@@ -43,6 +43,27 @@ def custom_log_boundary(c: float = 2.0) -> L.DensityModel:
     )
 
 
+def custom_lomax(a: float = 3.0, name: str = "custom") -> L.DensityModel:
+    """The lomax hazard wrapped through the custom constructor."""
+    return L.custom(
+        hazard=lambda x: a / (1.0 + x),
+        support="half-line",
+        tail=L.TailClass("powerlaw", index=a),
+        cumulative_hazard=lambda x: a * math.log1p(x),
+        name=name,
+    )
+
+
+def custom_compact_rv() -> L.DensityModel:
+    """The compactfast:1,1 hazard declared compact-rv through custom()."""
+    return L.custom(
+        hazard=lambda x: 1.0 / (1.0 - x) ** 2,
+        support="unit-interval",
+        tail=L.TailClass("compact-rv", index=2.0),
+        cumulative_hazard=lambda x: x / (1.0 - x),
+    )
+
+
 @pytest.fixture(scope="session")
 def seq_exp210():
     return solved("exponential:1", 210)

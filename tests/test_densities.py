@@ -1,6 +1,7 @@
 """Density construction, classification, moments, and the spec-string grammar."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ def test_survival_pdf_hazard_consistency(spec):
     # cumulative hazard matches -log G
     H = model.cumulative_hazard(xs)
     assert np.allclose(H, -np.log(g), rtol=1e-10, atol=1e-12)
+    if model.support == "unit-interval":
+        # the density at the edge, where only the uniform one is nonzero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.pdf(1.0) == (1.0 if spec == "uniform" else 0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -154,13 +160,21 @@ def test_moment_matches_survival_integral():
 
 
 def test_custom_model_matches_builtin():
-    from conftest import custom_log_boundary
+    from conftest import custom_log_boundary, custom_lomax
 
     model = custom_log_boundary(2.0)
     built = L.parse_spec("logboundary:2")
     xs = np.linspace(0.2, 5.0, 7)
     assert np.allclose(model.survival(xs), built.survival(xs), rtol=1e-9)
     assert L.classify_tail(model).kind == LOG_BOUNDARY
+    # a custom model is classified by its declared tail, whatever its name
+    built = L.parse_spec("lomax:3")
+    for name in ("lomax", "exponential"):
+        replica = custom_lomax(3.0, name=name)
+        assert np.allclose(replica.survival(xs), built.survival(xs), rtol=1e-9)
+        assert L.classify_tail(replica) == L.TailClass(POWER_LAW, index=3.0)
+        with pytest.raises(L.NotApplicableError):
+            L.closed_form_xk(replica, 10.0)
 
 
 def test_custom_requires_declared_tail():

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import custom_log_boundary, solved
+from conftest import custom_compact_rv, custom_log_boundary, custom_lomax, solved
 
 import lsp_lab as L
+from lsp_lab import cli
 from lsp_lab.solver import (
     MONOTONICITY_VIOLATED,
     NUMERIC_UNDERFLOW,
@@ -224,6 +225,18 @@ def test_custom_model_solves_like_builtin():
     built = solved("logboundary:2", 60)
     rel = np.abs(seq.points[1:31] - built.points[1:31]) / built.points[1:31]
     assert np.max(rel) < 1e-8
+    # a custom model named like a built-in family solves by its declared tail
+    config = L.SolverConfig(k_max=60, cross_check=False)
+    seq = L.solve(custom_lomax(3.0, name="lomax"), config)
+    built = solved("lomax:3", 60)
+    rel = np.abs(seq.points[1:] - built.points[1:]) / built.points[1:]
+    assert np.max(rel) < 1e-10
+    # no log-gap forms for a custom compact-rv hazard: a typed refusal
+    model = custom_compact_rv()
+    for route in (L.solve, L.find_x1, lambda m, c: L.finite_horizon_optimize(m, 40, c)):
+        with pytest.raises(L.NotApplicableError) as info:
+            route(model, config)
+        assert cli._exit_code(info.value) == cli.EXIT_USAGE
 
 
 @pytest.mark.parametrize("spec", ["compactpower:5", "compactpower:10"])

@@ -489,12 +489,16 @@ def custom(
     Without a closed-form cumulative hazard every call integrates from 0,
     which is correct but slow inside the solver; pass one when you have it.
     The tail class must be declared explicitly for classify_tail or solve
-    to work: it is never inferred from hazard samples, nor from the name.
-    A declared compact-rv class classifies but does not solve: the
-    solver's log-gap forms need the (a, b) that only compactfast carries.
+    to work: it is never inferred from hazard samples, nor from the name,
+    and must fit the support (DomainError otherwise).  A declared
+    compact-rv class classifies but does not solve: the solver's log-gap
+    forms need the (a, b) that only compactfast carries.
     """
     if support not in (HALF_LINE, UNIT_INTERVAL):
         raise DomainError(f"unknown support kind {support!r}")
+    compact_kinds = (COMPACT_RV, COMPACT_POWER_LAW, COMPACT_TERMINATING)
+    if tail is not None and (tail.kind in compact_kinds) != (support == UNIT_INTERVAL):
+        raise DomainError(f"tail class {tail.kind!r} does not fit support {support!r}")
     cap = 1.0 if support == UNIT_INTERVAL else math.inf
 
     @_shaped

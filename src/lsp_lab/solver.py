@@ -113,11 +113,11 @@ class SolverConfig:
     x1_bracket: tuple[float, float] = (1e-6, 50.0)
     bisection_tol: float = 1e-12
     horizon_n: int = 40
-    quantile_cap: float = 1.0 - 1e-10
-    # Survival level at the oracle's terminal point.  Defaults to
-    # 1 - quantile_cap; set explicitly to push the horizon deeper than
-    # quantile_cap can express (float resolution near 1 is ~1e-16).
-    cap_survival: Optional[float] = None
+    # Survival level at the half-line oracle's terminal point x_n.  The
+    # default is the survival at the 1 - 1e-10 quantile as float64 rounds
+    # it; go lower to push the horizon deeper than a quantile near 1 can
+    # express (float resolution there is ~1e-16).
+    cap_survival: float = 1.0 - (1.0 - 1e-10)
     max_sweeps: int = 400
     cross_check: bool = True
 
@@ -131,13 +131,8 @@ class SolverConfig:
             raise DomainError("bisection_tol must be positive")
         if self.horizon_n < 1:
             raise DomainError("horizon_n must be at least 1")
-        if not (0.9 < self.quantile_cap < 1.0):
-            raise DomainError("quantile_cap must lie in (0.9, 1)")
-        if self.cap_survival is not None and not (0 < self.cap_survival < 0.1):
+        if not (0 < self.cap_survival < 0.1):
             raise DomainError("cap_survival must lie in (0, 0.1)")
-
-    def terminal_survival(self) -> float:
-        return self.cap_survival if self.cap_survival is not None else 1.0 - self.quantile_cap
 
 
 @dataclass
@@ -229,20 +224,27 @@ def shoot_forward(model: DensityModel, x1: float, k_max: int) -> ShootResult:
 
 
 def recurrence_residual(model: DensityModel, seq: TurningSequence) -> np.ndarray:
-    """Stationarity residuals (x_k+x_{k+1})p(x_k) - G(x_k) - G(x_{k-1}).
+    """Stationarity residuals (H(u_k) - H(u_{k-1}) - log W_k) / max(1, |H(u_k)|).
 
-    One entry per interior index k = 1..len-2; the optimality
-    certificate for any claimed sequence.
+    One entry per interior index k = 1..len-2; the optimality certificate
+    for any claimed sequence.  u is the working coordinate: x on the half
+    line, L = -log(1 - x) on the unit interval (log_gaps when present),
+    so entries stay meaningful after points saturate at 1.0.  NaN marks
+    an index where log W_k is undefined.  Models without working forms
+    raise their typed error: terminating compacts, custom compact-rv
+    models and custom models without a declared tail.
     """
-    pts = seq.points
-    if pts.size < 3:
+    if seq.points.size < 3:
         raise DomainError("need at least 3 points for interior residuals")
-    x_prev, x_mid, x_next = pts[:-2], pts[1:-1], pts[2:]
-    return (
-        (x_mid + x_next) * model.pdf(x_mid)
-        - model.survival(x_mid)
-        - model.survival(x_prev)
-    )
+    eng = _engine_for(model, classify_tail(model))
+    if eng.coord == "x":
+        us = seq.points
+    elif seq.log_gaps is not None:
+        us = seq.log_gaps
+    else:
+        us = -np.log1p(-seq.points)
+    res, _, _, _, scale = _chain(eng, us, 1)
+    return res / scale
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +256,12 @@ def recurrence_residual(model: DensityModel, seq: TurningSequence) -> np.ndarray
 class _Engine:
     """Per-model forms in the working coordinate u (x or L).
 
-    hc is the cumulative hazard as a function of u, log_w the log of
-    W_k = (x_k + x_{k+1}) h(x_k) - 1 written without underflow, law the
-    asymptotic seed position at continuous index t, to_x the map back
-    to positions.
+    hc is the cumulative hazard as a function of u and Hp its derivative,
+    log_w the log of W_k = (x_k + x_{k+1}) h(x_k) - 1 written without
+    underflow, law the asymptotic seed position at continuous index t,
+    to_x the map back to positions.  dlog_w(u_k, u_{k+1}) gives
+    (log W_k, d/du_k, d/du_{k+1}) for the stationarity chain, or None
+    where W_k is too small.
     """
 
     name: str
@@ -267,6 +271,8 @@ class _Engine:
     log_w: Callable[[float, float], Optional[float]]
     to_x: Callable[[float], float]
     law: Callable[[float], float]
+    Hp: Callable[[float], float]
+    dlog_w: Callable[[float, float], Optional[tuple[float, float, float]]]
 
 
 def _scalar(fn) -> Callable[[float], float]:
@@ -282,6 +288,17 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
         w = (xk + xk1) * h(xk) - 1.0
         return math.log(w) if w > 1.0 else None
 
+    def dlog_w(xk, xk1):
+        hk = h(xk)
+        w = (xk + xk1) * hk - 1.0
+        if not (w > 0.0 and xk > 0.0):
+            return None
+        # d log h/dx by a central difference: it only steers Newton, and
+        # acceptance reads the exact residual, so 1e-6 relative is enough
+        e = 1e-6 * xk
+        dlog_h = (math.log(h(xk + e)) - math.log(h(xk - e))) / (2.0 * e)
+        return math.log(w), hk * (1.0 + (xk + xk1) * dlog_h) / w, hk / w
+
     if tail.kind == POWER_LAW:
         # geometric deep orbit; the dial absorbs the prefactor
         r = asymptotics.pareto_rate(tail.index)
@@ -293,7 +310,9 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
             # march probes can push the continuous index below 0
             return asymptotics.invert_index(model, max(t, 1e-6), x_low=x_low)
 
-    return _Engine(model.spec_string(), "x", H, Hinv, log_w, lambda u: u, law)
+    return _Engine(
+        model.spec_string(), "x", H, Hinv, log_w, lambda u: u, law, h, dlog_w
+    )
 
 
 def _compact_log_w(A0: float, s: float, Lk: float, Lk1: float):
@@ -324,14 +343,13 @@ def _compact_log_w(A0: float, s: float, Lk: float, Lk1: float):
 class _CompactEngine(_Engine):
     """An engine in L that also carries the log-gap forms and seed slots.
 
-    A0 and s give W_k through _compact_log_w, Hp is dH/dL; first_slot and
-    next_slot give the oracle's slot k from slot k-1, before its descent
-    and past its live prefix.
+    A0 and s give W_k through _compact_log_w; first_slot and next_slot
+    give the oracle's slot k from slot k-1, before its descent and past
+    its live prefix.
     """
 
     A0: float
     s: float
-    Hp: Callable[[float], float]
     first_slot: Callable[[int, float], float]
     next_slot: Callable[[int, float], float]
 
@@ -385,13 +403,15 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Compac
             "compact power laws and for the compactfast hazard a/(1-x)^(1+b) only"
         )
 
+    dlog_w = lambda Lk, Lk1: _compact_log_w(A0, s, Lk, Lk1)
+
     def log_w(Lk, Lk1):
-        terms = _compact_log_w(A0, s, Lk, Lk1)
+        terms = dlog_w(Lk, Lk1)
         return None if terms is None else terms[0]
 
     return _CompactEngine(
         model.spec_string(), "L", H, Hinv, log_w, lambda L: -math.expm1(-L), law,
-        A0, s, Hp, first_slot, next_slot,
+        Hp, dlog_w, A0, s, first_slot, next_slot,
     )
 
 
@@ -704,44 +724,124 @@ def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float
 # ---------------------------------------------------------------------------
 
 
-def _oracle_halfline(model, n, config) -> TurningSequence:
-    H = _scalar(model._cum_hazard)
-    Hinv = _scalar(model._inv_cum_hazard)
-    h = _scalar(model._hazard)
+def _chain(eng: _Engine, us: np.ndarray, first: int):
+    """The stationarity chain r_k = H(u_k) - H(u_{k-1}) - log W_k.
 
-    def G(x):
-        v = H(x)
-        return math.exp(-v) if v < 700 else 0.0
+    us holds u_0..u_n in the engine's coordinate; the rows are slots
+    first..n-1.  Returns the residuals, the Jacobian's three bands (row
+    k: dr_k/du_{k-1}, dr_k/du_k, dr_k/du_{k+1}) and the scale
+    max(1, |H(u_k)|): the residual is a difference of numbers of size
+    ~H(u_k), so its float granularity, hence the attainable tolerance,
+    scales with it.  A row where log W_k is undefined is NaN.
+    """
+    n = len(us) - 1
+    res, lo, mid, hi = (np.full(n - first, math.nan) for _ in range(4))
+    scale = np.ones(n - first)
+    for i, k in enumerate(range(first, n)):
+        H_k = eng.hc(us[k])
+        scale[i] = max(1.0, abs(H_k))
+        terms = eng.dlog_w(us[k], us[k + 1])
+        if terms is None:
+            continue
+        lw, d_k, d_k1 = terms
+        res[i] = H_k - eng.hc(us[k - 1]) - lw
+        lo[i] = -eng.Hp(us[k - 1])
+        mid[i] = eng.Hp(us[k]) - d_k
+        hi[i] = -d_k1
+    return res, lo, mid, hi, scale
 
-    x_n = Hinv(-math.log(config.terminal_survival()))
+
+def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
+    """Banded Newton on the stationarity chain over slots first..n-1, in place.
+
+    A step is halved until the slots stay strictly ordered between
+    u_{first-1} and u_n.  Raises ConvergenceError when a row leaves the
+    domain of log W, or when 60 steps do not bring every residual under
+    1e-12 of its scale.
+    """
+    n = len(us) - 1
+    for _ in range(60):
+        res, lo, mid, hi, scale = _chain(eng, us, first)
+        dead = first + np.flatnonzero(np.isnan(res))
+        if dead.size:
+            raise ConvergenceError(
+                f"stationarity-chain Newton left the domain of log W at slot {dead[0]}",
+                last_iterate=us,
+            )
+        if np.all(np.abs(res) < 1e-12 * scale):
+            return
+        ab = np.zeros((3, n - first))
+        ab[0, 1:] = hi[:-1]
+        ab[1, :] = mid
+        ab[2, :-1] = lo[1:]
+        try:
+            step = solve_banded((1, 1), ab, -res)
+        except ValueError:  # singular (LinAlgError) or non-finite bands
+            break
+        alpha = 1.0
+        for _ in range(40):
+            trial = us[first:n] + alpha * step
+            if np.all(np.diff(np.concatenate([[us[first - 1]], trial, [us[n]]])) > 0):
+                break
+            alpha *= 0.5
+        us[first:n] += alpha * step
+    raise ConvergenceError(
+        "stationarity-chain Newton did not converge on the horizon", last_iterate=us
+    )
+
+
+def _survival(eng: _Engine, u: float) -> float:
+    v = eng.hc(u)
+    return math.exp(-v) if v < 700 else 0.0
+
+
+def _objective(eng: _Engine, us: np.ndarray) -> float:
+    """The truncated objective sum_{k=1..n} x_k (G_k + G_{k-1})."""
+    tot, g_prev = 0.0, _survival(eng, us[0])
+    for u in us[1:]:
+        g = _survival(eng, u)
+        tot += eng.to_x(u) * (g + g_prev)
+        g_prev = g
+    return tot
+
+
+def _descend(eng: _Engine, us: np.ndarray, slots, max_sweeps: int, xatol) -> bool:
+    """Cyclic coordinate descent on the truncated objective, in place.
+
+    Each sweep minimises over one slot at a time, in the order of slots,
+    between its neighbours; a slot next to u_n = inf (the unit interval's
+    boundary) searches up to 60 past its current value.  xatol maps that
+    upper bound to the absolute tolerance.  Returns whether a sweep
+    gained less than 1e-12 within max_sweeps.
+    """
+    G = lambda u: _survival(eng, u)
+    prev = _objective(eng, us)
+    for _ in range(max_sweeps):
+        for k in slots:
+            g_prev, x_next = G(us[k - 1]), eng.to_x(us[k + 1])
+            ub = us[k + 1] if math.isfinite(us[k + 1]) else us[k] + 60.0
+            us[k] = optimize.minimize_scalar(
+                lambda u: eng.to_x(u) * (G(u) + g_prev) + x_next * G(u),
+                bounds=(us[k - 1], ub),
+                method="bounded",
+                options={"xatol": xatol(ub)},
+            ).x
+        cur = _objective(eng, us)
+        if prev - cur < 1e-12:
+            return True
+        prev = cur
+    return False
+
+
+def _oracle_halfline(model, n, tail, config) -> TurningSequence:
+    eng = _halfline_engine(model, tail)
+    H, Hinv = eng.hc, eng.hc_inv
+    x_n = Hinv(-math.log(config.cap_survival))
     xs = np.array([Hinv(H(x_n) * k / n) for k in range(n + 1)], dtype=float)
     xs[0], xs[n] = 0.0, x_n
+    xatol = lambda ub: 1e-13 * max(1.0, ub)
 
-    def J():
-        g = np.array([G(t) for t in xs])
-        return float(np.sum(xs[1:] * (g[1:] + g[:-1])))
-
-    def sweep_to_convergence(first_live, max_sweeps):
-        """Cyclic descent over slots first_live..n-1, descending order."""
-        nonlocal xs
-        prev = J()
-        for _ in range(max_sweeps):
-            for k in range(n - 1, first_live - 1, -1):
-                g_prev, x_next = G(xs[k - 1]), xs[k + 1]
-                r = optimize.minimize_scalar(
-                    lambda x: x * (G(x) + g_prev) + x_next * G(x),
-                    bounds=(xs[k - 1], xs[k + 1]),
-                    method="bounded",
-                    options={"xatol": 1e-13 * max(1.0, xs[k + 1])},
-                )
-                xs[k] = r.x
-            cur = J()
-            if prev - cur < 1e-12:
-                return True
-            prev = cur
-        return False
-
-    if not sweep_to_convergence(1, config.max_sweeps):
+    if not _descend(eng, xs, range(n - 1, 0, -1), config.max_sweeps, xatol):
         raise ConvergenceError(
             f"coordinate descent did not converge in {config.max_sweeps} sweeps",
             last_iterate=xs,
@@ -766,7 +866,7 @@ def _oracle_halfline(model, n, config) -> TurningSequence:
         first_live = n - len(kept)
         xs[1:first_live] = 0.0
         xs[first_live:n] = kept
-        sweep_to_convergence(first_live, 80)
+        _descend(eng, xs, range(n - 1, first_live - 1, -1), 80, xatol)
 
     # The descent can also park surplus by sliding a slot to the origin;
     # fold such near-zero slots into the parked prefix so they do not
@@ -775,51 +875,20 @@ def _oracle_halfline(model, n, config) -> TurningSequence:
         xs[first_live] = 0.0
         first_live += 1
 
-    # Newton polish of the stationarity chain in hazard form over the
-    # live slots.  The chain has spurious residual-zero roots out in the
-    # power-law deep tail, so a polish is accepted only when it stays a
-    # sane plan: ordered, inside (0, x_n], and no worse in objective.
-    live = list(range(first_live, n))
-
-    def chain(v):
-        z = xs.copy()
-        z[live] = v
-        out = []
-        for k in live:
-            if z[k] <= 0 or z[k - 1] < 0:
-                out.append(1e6)
-                continue
-            w = (z[k] + z[k + 1]) * h(z[k]) - 1.0
-            if w <= 0:
-                out.append(1e6)
-                continue
-            out.append(H(z[k]) - H(z[k - 1]) - math.log(w))
-        return out
-
-    if live:
-        j_sweep = J()
-        sol = optimize.root(chain, xs[live], method="hybr", options={"xtol": 1e-13})
-        cand = np.asarray(sol.x)
-        # judge by the achieved residual: hybr can sit exactly on the root
-        # yet report no-progress when the penalty plateau surrounds it
-        sane = (
-            np.max(np.abs(chain(cand))) < 1e-9
-            and np.all(cand > 0)
-            and cand[-1] <= x_n * (1.0 + 1e-9)
-            and np.all(np.diff(np.concatenate([[xs[first_live - 1]], cand])) > 0)
-        )
-        if sane:
-            trial = xs.copy()
-            trial[live] = cand
-            saved, xs = xs, trial
-            # ordered chains in [0, x_n] hold a unique stationary point, so
-            # a worse objective means hybr wandered to a spurious tail root
-            if J() > j_sweep + 1e-9 * max(1.0, j_sweep):
-                xs = saved
-                sane = False
-        if not sane:
-            log.debug("%s: oracle Newton polish declined: %s",
-                      model.spec_string(), getattr(sol, "message", "insane step"))
+    # Newton polish of the live chain.  The chain has spurious roots out
+    # in the power-law deep tail; ordered chains in [0, x_n] hold a unique
+    # stationary point, so a polish that raises the objective reached one
+    # of those and the descent iterate stands.
+    if first_live < n:
+        polished = xs.copy()
+        try:
+            _polish(eng, polished, first_live)
+        except ConvergenceError as exc:
+            log.debug("%s: oracle Newton polish declined: %s", model.spec_string(), exc)
+        else:
+            j_sweep = _objective(eng, xs)
+            if _objective(eng, polished) <= j_sweep + 1e-9 * max(1.0, j_sweep):
+                xs = polished
     stripped = [float(t) for t in xs[1:] if t > 1e-12 * x_n]
     return TurningSequence(
         points=np.concatenate([[0.0], stripped]),
@@ -831,51 +900,14 @@ def _oracle_halfline(model, n, config) -> TurningSequence:
 
 def _oracle_compact(model, n, tail, config) -> TurningSequence:
     eng = _compact_engine(model, tail)
-    H, Hp = eng.hc, eng.Hp
     Ls = np.zeros(n + 1)
     Ls[n] = math.inf
     for k in range(1, n):
         Ls[k] = eng.first_slot(k, Ls[k - 1])
 
-    def G(L):
-        v = H(L)
-        return math.exp(-v) if v < 700 else 0.0
-
-    def xof(L):
-        return -math.expm1(-L)
-
     m_live = min(n - 1, 14)  # deeper slots are objective-flat at float64
-
-    def J():
-        tot, g_prev = 0.0, 1.0
-        for k in range(1, n):
-            g_k = G(Ls[k])
-            tot += xof(Ls[k]) * (g_k + g_prev)
-            g_prev = g_k
-        return tot + g_prev  # terminal x_n = 1 contributes 1*(0 + G_{n-1})
-
-    prev = J()
-    converged = False
     # ascending sweep order 1 .. m_live (anchored at the origin end)
-    for _ in range(config.max_sweeps):
-        for k in range(1, m_live + 1):
-            L_prev = Ls[k - 1]
-            g_prev = G(L_prev) if k > 1 else 1.0
-            x_next = xof(Ls[k + 1])
-            ub = Ls[k + 1] if k < n - 1 else Ls[k] + 60.0
-            rr = optimize.minimize_scalar(
-                lambda L: xof(L) * (G(L) + g_prev) + x_next * G(L),
-                bounds=(L_prev, ub),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            Ls[k] = rr.x
-        cur = J()
-        if prev - cur < 1e-12:
-            converged = True
-            break
-        prev = cur
-    if not converged:
+    if not _descend(eng, Ls, range(1, m_live + 1), config.max_sweeps, lambda ub: 1e-12):
         raise ConvergenceError(
             f"coordinate descent did not converge in {config.max_sweeps} sweeps",
             last_iterate=Ls,
@@ -883,55 +915,7 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
     # re-anchor the objective-flat tail on the converged prefix
     for k in range(m_live + 1, n):
         Ls[k] = eng.next_slot(k, Ls[k - 1])
-
-    # banded Newton on the stationarity chain res_k = H(L_k)-H(L_{k-1})-logW_k
-    newton_ok = False
-    for _ in range(60):
-        res = np.zeros(n - 1)
-        dlo = np.zeros(n - 1)
-        dmid = np.zeros(n - 1)
-        dhi = np.zeros(n - 1)
-        tols = np.ones(n - 1)
-        for k in range(1, n):
-            terms = _compact_log_w(eng.A0, eng.s, Ls[k], Ls[k + 1])
-            if terms is None:
-                raise ConvergenceError(
-                    f"stationarity-chain Newton left the domain of log W at slot {k}",
-                    last_iterate=Ls,
-                )
-            lw, d_k, d_k1 = terms
-            res[k - 1] = H(Ls[k]) - H(Ls[k - 1]) - lw
-            dmid[k - 1] = Hp(Ls[k]) - d_k
-            if k > 1:
-                dlo[k - 1] = -Hp(Ls[k - 1])
-            if k < n - 1:
-                dhi[k - 1] = -d_k1
-            # residual is a difference of numbers of size ~H(L_k), so its
-            # float granularity, hence the attainable tolerance, scales with it
-            tols[k - 1] = max(1.0, abs(H(Ls[k])))
-        if np.all(np.abs(res) < 1e-12 * tols):
-            newton_ok = True
-            break
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = dhi[:-1]
-        ab[1, :] = dmid
-        ab[2, :-1] = dlo[1:]
-        try:
-            step = solve_banded((1, 1), ab, -res)
-        except Exception:
-            break
-        alpha = 1.0
-        for _ in range(40):
-            trial = Ls[1:n] + alpha * step
-            if np.all(np.diff(np.concatenate([[0.0], trial])) > 0):
-                break
-            alpha *= 0.5
-        Ls[1:n] += alpha * step
-    if not newton_ok:
-        raise ConvergenceError(
-            "stationarity-chain Newton did not converge on the compact horizon",
-            last_iterate=Ls,
-        )
+    _polish(eng, Ls, 1)
     pts = -np.expm1(-Ls)
     # the pinned boundary leg plus its implicit mirror complete coverage,
     # exactly the terminal G_{n-1} term in the truncated objective
@@ -973,4 +957,4 @@ def finite_horizon_optimize(
             )
         return _oracle_compact(model, n, tail, config)
     first_abs_moment(model)
-    return _oracle_halfline(model, n, config)
+    return _oracle_halfline(model, n, classify_tail(model), config)

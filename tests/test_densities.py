@@ -186,6 +186,12 @@ def test_custom_requires_declared_tail():
 def test_custom_rejects_nonvanishing_cumulative_hazard():
     with pytest.raises(L.DomainError):
         L.custom(hazard=lambda x: 1.0, cumulative_hazard=lambda x: 1.0 + x)
+    # nor a tail class that does not fit the support
+    with pytest.raises(L.DomainError):
+        L.custom(hazard=lambda x: 1.0, tail=L.TailClass(COMPACT_POWER_LAW, index=2.0))
+    with pytest.raises(L.DomainError):
+        L.custom(hazard=lambda x: 2.0 / (1.0 - x), support="unit-interval",
+                 tail=L.TailClass(SUB_LOG))
 
 
 def test_custom_quad_route_agrees_with_closed_form():

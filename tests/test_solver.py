@@ -141,6 +141,13 @@ def test_interior_residuals_small():
     res = L.recurrence_residual(model, seq)
     assert res.shape == (len(seq.points) - 2,)
     assert np.max(np.abs(res)) < 1e-10
+    # in L the certificate still reads past the points' saturation at 1.0
+    res = L.recurrence_residual(L.parse_spec("compactfast:0.1,0.1"),
+                                solved("compactfast:0.1,0.1", 60))
+    assert np.all(np.isfinite(res)) and np.max(np.abs(res)) <= 1e-10
+    # and it refutes a wrong answer
+    res = L.recurrence_residual(L.parse_spec("compactpower:50"), solved("compactpower:50", 60))
+    assert np.max(np.abs(res)) > 1e-3
 
 
 def test_solve_cross_check_diagnostics():
@@ -171,10 +178,8 @@ def test_solver_config_validation():
     with pytest.raises(L.DomainError):
         L.SolverConfig(k_max=0)
     with pytest.raises(L.DomainError):
-        L.SolverConfig(quantile_cap=0.5)
-    with pytest.raises(L.DomainError):
         L.SolverConfig(cap_survival=0.5)
-    assert L.SolverConfig(cap_survival=1e-20).terminal_survival() == 1e-20
+    assert L.SolverConfig(cap_survival=1e-20).cap_survival == 1e-20
 
 
 def test_horizon_oracle_triangular_frozen():

@@ -1,8 +1,9 @@
 """Density families for symmetric linear search targets.
 
 A DensityModel bundles the closed forms the solver and verifier need:
-pdf, survival, hazard, cumulative hazard and its inverse, and the modulus
-quantile used for sampling |X|.  All built-in families keep these exact
+pdf, survival, hazard, cumulative hazard and its inverse; the modulus
+quantile used for sampling |X| is H^-1(-log(1-u)) for every model.
+Parameters must be finite.  All built-in families keep these exact
 (no numerical differentiation), which matters because the recurrence is
 evaluated in hazard form far past the range where the survival function
 underflows.
@@ -60,6 +61,8 @@ class TailClass:
     rapid: bool = False
 
     def __post_init__(self):
+        if self.index is not None and not math.isfinite(self.index):
+            raise DomainError(f"{self.kind} tail index must be finite")
         if self.kind == POWER_LAW:
             if self.index is None or self.index <= 1.0:
                 raise DomainError(
@@ -113,7 +116,6 @@ class DensityModel:
     _hazard: Callable = field(repr=False)
     _cum_hazard: Callable = field(repr=False)
     _inv_cum_hazard: Callable = field(repr=False)
-    _quantile: Callable = field(repr=False)
     # None when no class applies: infinite mean, or a custom model that
     # declares none.
     tail: Optional[TailClass] = field(default=None, repr=False)
@@ -123,6 +125,10 @@ class DensityModel:
     rv_params: Optional[tuple[float, float]] = field(default=None, repr=False)
     # Closed-form first moment if the family has one; None means integrate.
     _moment: Optional[float] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not all(math.isfinite(p) for p in self.params):
+            raise DomainError(f"{self.family} parameters must be finite, got {self.params}")
 
     def spec_string(self) -> str:
         if not self.params:
@@ -154,11 +160,6 @@ class DensityModel:
         with np.errstate(divide="ignore", over="ignore"):
             return self._ret(x, np.exp(-self._cum_hazard(xs)))
 
-    def log_survival(self, x):
-        xs = self._check_support(x)
-        with np.errstate(divide="ignore", over="ignore"):
-            return self._ret(x, -self._cum_hazard(xs))
-
     def hazard(self, x):
         xs = self._check_support(x)
         if self.support == UNIT_INTERVAL and np.any(xs >= 1.0):
@@ -179,12 +180,12 @@ class DensityModel:
         return self._ret(v, self._inv_cum_hazard(vs))
 
     def modulus_quantile(self, u):
-        """Quantile of |X|: smallest x with P(|X| <= x) >= u."""
+        """Quantile of |X|: smallest x with P(|X| <= x) >= u, as H^-1(-log(1-u))."""
         us = np.asarray(u, dtype=float)
         if np.any((us < 0.0) | (us >= 1.0)):
             raise DomainError("quantile level must lie in [0, 1)")
         with np.errstate(divide="ignore"):
-            return self._ret(u, self._quantile(us))
+            return self._ret(u, self._inv_cum_hazard(-np.log1p(-us)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,6 @@ def exponential(rate: float = 1.0) -> DensityModel:
         _hazard=lambda x: np.full_like(x, lam),
         _cum_hazard=lambda x: lam * x,
         _inv_cum_hazard=lambda v: v / lam,
-        _quantile=lambda u: -np.log1p(-u) / lam,
         tail=TailClass(SUB_LOG),
         closed_form=lambda k: k * math.log(k) / lam,
         _moment=1.0 / lam,
@@ -226,7 +226,6 @@ def stretched_exp(a: float = 1.0, b: float = 1.0) -> DensityModel:
         _hazard=lambda x: a * np.power(x, b),
         _cum_hazard=lambda x: a * np.power(x, p) / p,
         _inv_cum_hazard=lambda v: np.power(p * v / a, 1.0 / p),
-        _quantile=lambda u: np.power(p * (-np.log1p(-u)) / a, 1.0 / p),
         tail=TailClass(SUPER_LOG, index=float(b)),
         closed_form=lambda k: ((1.0 + b) / a * k * math.log(k)) ** (1.0 / (1.0 + b)),
     )
@@ -246,7 +245,6 @@ def lomax(a: float) -> DensityModel:
         _hazard=lambda x: a / (1.0 + x),
         _cum_hazard=lambda x: a * np.log1p(x),
         _inv_cum_hazard=lambda v: np.expm1(v / a),
-        _quantile=lambda u: np.expm1(-np.log1p(-u) / a),
         tail=TailClass(POWER_LAW, index=a) if a > 1.0 else None,
         _moment=(1.0 / (a - 1.0)) if a > 1.0 else math.inf,
     )
@@ -294,13 +292,6 @@ def lognormal(sigma: float = 1.0) -> DensityModel:
         out[pos] = np.exp(-s * special.ndtri_exp(-vs[pos]))
         return out
 
-    @_shaped
-    def quantile(us):
-        out = np.zeros_like(us)
-        pos = us > 0
-        out[pos] = np.exp(s * special.ndtri(us[pos]))
-        return out
-
     return DensityModel(
         family="lognormal",
         params=(s,),
@@ -310,7 +301,6 @@ def lognormal(sigma: float = 1.0) -> DensityModel:
         _hazard=hazard,
         _cum_hazard=cum_hazard,
         _inv_cum_hazard=inv_cum_hazard,
-        _quantile=quantile,
         tail=TailClass(SUB_LOG),
         # hazard ~ (log x)/(s^2 x): the polynomial-law exponent vanishes
         # and the position law becomes exp of a square root
@@ -333,7 +323,6 @@ def gumbel_hazard(a: float = 1.0) -> DensityModel:
         _hazard=lambda x: np.exp(a * x),
         _cum_hazard=lambda x: np.expm1(a * x) / a,
         _inv_cum_hazard=lambda v: np.log1p(a * v) / a,
-        _quantile=lambda u: np.log1p(-a * np.log1p(-u)) / a,
         tail=TailClass(SUPER_LOG, rapid=True),
         closed_form=lambda k: math.log(k) / a,
     )
@@ -374,7 +363,6 @@ def log_boundary(c: float = 2.0) -> DensityModel:
         _hazard=lambda x: c * np.log(e + x),
         _cum_hazard=cum_hazard,
         _inv_cum_hazard=inv_cum_hazard,
-        _quantile=lambda u: inv_cum_hazard(-np.log1p(-u)),
         tail=TailClass(LOG_BOUNDARY, index=c),
     )
 
@@ -389,7 +377,6 @@ def uniform() -> DensityModel:
         _hazard=lambda x: 1.0 / (1.0 - x),
         _cum_hazard=lambda x: -np.log1p(-x),
         _inv_cum_hazard=lambda v: -np.expm1(-v),
-        _quantile=lambda u: np.asarray(u, dtype=float),
         tail=TailClass(COMPACT_TERMINATING),
         _moment=0.5,
     )
@@ -406,7 +393,6 @@ def triangular() -> DensityModel:
         _hazard=lambda x: 2.0 / (1.0 - x),
         _cum_hazard=lambda x: -2.0 * np.log1p(-x),
         _inv_cum_hazard=lambda v: -np.expm1(-0.5 * v),
-        _quantile=lambda u: -np.expm1(0.5 * np.log1p(-u)),
         tail=TailClass(COMPACT_POWER_LAW, index=2.0),
         _moment=1.0 / 3.0,
     )
@@ -426,7 +412,6 @@ def compact_power(c: float) -> DensityModel:
         _hazard=lambda x: c / (1.0 - x),
         _cum_hazard=lambda x: -c * np.log1p(-x),
         _inv_cum_hazard=lambda v: -np.expm1(-v / c),
-        _quantile=lambda u: -np.expm1(np.log1p(-u) / c),
         # at or below c = 1 the optimal plan reaches the endpoint in one pass
         tail=(TailClass(COMPACT_POWER_LAW, index=c) if c > 1.0
               else TailClass(COMPACT_TERMINATING)),
@@ -469,7 +454,6 @@ def compact_fast(a: float = 1.0, b: float = 1.0) -> DensityModel:
         _hazard=lambda x: a * np.power(1.0 - x, -(1.0 + b)),
         _cum_hazard=cum_hazard,
         _inv_cum_hazard=inv_cum_hazard,
-        _quantile=lambda u: inv_cum_hazard(-np.log1p(-u)),
         tail=TailClass(COMPACT_RV, index=1.0 + b),
         closed_form=closed_form,
         rv_params=(a, b),
@@ -545,11 +529,6 @@ def custom(
     def Hinv_arr(vs):
         return np.asarray([Hinv_one(float(t)) for t in vs])
 
-    @_shaped
-    def quantile(us):
-        # numeric inversion of the modulus cdf, tolerance ~1e-10 in x
-        return np.asarray([Hinv_one(-math.log1p(-float(t))) for t in us])
-
     return DensityModel(
         family=name,
         params=tuple(float(p) for p in params),
@@ -559,7 +538,6 @@ def custom(
         _hazard=h_arr,
         _cum_hazard=H_arr,
         _inv_cum_hazard=Hinv_arr,
-        _quantile=quantile,
         tail=tail,
     )
 

@@ -60,6 +60,10 @@ SURVIVED = "SurvivedHorizon"
 MONOTONICITY_VIOLATED = "MonotonicityViolated"
 NUMERIC_UNDERFLOW = "NumericUnderflow"
 
+_BISECTION_TOL = 1e-12  # relative bracket width at which find_x1 stops
+_HORIZON_N = 40  # oracle horizon for solve's x1 cross-check
+_MAX_SWEEPS = 400  # cap on the oracle's coordinate-descent sweeps
+
 
 @dataclass
 class TurningSequence:
@@ -111,14 +115,11 @@ class TurningSequence:
 class SolverConfig:
     k_max: int = 200
     x1_bracket: tuple[float, float] = (1e-6, 50.0)
-    bisection_tol: float = 1e-12
-    horizon_n: int = 40
     # Survival level at the half-line oracle's terminal point x_n.  The
     # default is the survival at the 1 - 1e-10 quantile as float64 rounds
     # it; go lower to push the horizon deeper than a quantile near 1 can
     # express (float resolution there is ~1e-16).
     cap_survival: float = 1.0 - (1.0 - 1e-10)
-    max_sweeps: int = 400
     cross_check: bool = True
 
     def __post_init__(self):
@@ -127,10 +128,6 @@ class SolverConfig:
         lo, hi = self.x1_bracket
         if not (0 < lo < hi):
             raise DomainError("x1_bracket must satisfy 0 < lo < hi")
-        if self.bisection_tol <= 0:
-            raise DomainError("bisection_tol must be positive")
-        if self.horizon_n < 1:
-            raise DomainError("horizon_n must be at least 1")
         if not (0 < self.cap_survival < 0.1):
             raise DomainError("cap_survival must lie in (0, 0.1)")
 
@@ -581,7 +578,7 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
              (BracketError, NonMonotonePredicateError, NotApplicableError),
              "bisection", "find_x1"),
             ("x1_oracle",
-             lambda: float(finite_horizon_optimize(model, config.horizon_n, config).points[1]),
+             lambda: float(finite_horizon_optimize(model, _HORIZON_N, config).points[1]),
              1e-3, (ConvergenceError, NotApplicableError), "oracle", "oracle"),
         )
         for key, route, threshold, errors, name, route_name in checks:
@@ -668,7 +665,7 @@ def _find_x1_compact(model, tail, config) -> float:
     L1 = _scan_bisect(
         lambda L1: _forward_L_shoot(eng.A0, eng.s, eng.hc, L1, k_cap)[0],
         np.geomspace(lo, hi, 120), "collapse", "boundary", "survived",
-        config.bisection_tol,
+        _BISECTION_TOL,
         NonMonotonePredicateError(
             "no undershoot mode inside the bracket; fall back to "
             "finite_horizon_optimize"
@@ -706,7 +703,7 @@ def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float
     return _scan_bisect(
         lambda x1: shoot_forward(model, x1, k_cap).outcome,
         np.geomspace(lo, hi, 120), MONOTONICITY_VIOLATED, NUMERIC_UNDERFLOW, SURVIVED,
-        config.bisection_tol,
+        _BISECTION_TOL,
         NonMonotonePredicateError(
             "no monotonicity-collapse mode inside the bracket; the "
             "shooting predicate is one-sided here, fall back to "
@@ -841,9 +838,9 @@ def _oracle_halfline(model, n, tail, config) -> TurningSequence:
     xs[0], xs[n] = 0.0, x_n
     xatol = lambda ub: 1e-13 * max(1.0, ub)
 
-    if not _descend(eng, xs, range(n - 1, 0, -1), config.max_sweeps, xatol):
+    if not _descend(eng, xs, range(n - 1, 0, -1), _MAX_SWEEPS, xatol):
         raise ConvergenceError(
-            f"coordinate descent did not converge in {config.max_sweeps} sweeps",
+            f"coordinate descent did not converge in {_MAX_SWEEPS} sweeps",
             last_iterate=xs,
         )
 
@@ -878,27 +875,23 @@ def _oracle_halfline(model, n, tail, config) -> TurningSequence:
     # Newton polish of the live chain.  The chain has spurious roots out
     # in the power-law deep tail; ordered chains in [0, x_n] hold a unique
     # stationary point, so a polish that raises the objective reached one
-    # of those and the descent iterate stands.
-    if first_live < n:
-        polished = xs.copy()
-        try:
-            _polish(eng, polished, first_live)
-        except ConvergenceError as exc:
-            log.debug("%s: oracle Newton polish declined: %s", model.spec_string(), exc)
-        else:
-            j_sweep = _objective(eng, xs)
-            if _objective(eng, polished) <= j_sweep + 1e-9 * max(1.0, j_sweep):
-                xs = polished
-    stripped = [float(t) for t in xs[1:] if t > 1e-12 * x_n]
+    # of those and the horizon has no certified answer.
+    j_sweep = _objective(eng, xs)
+    _polish(eng, xs, first_live)
+    if _objective(eng, xs) > j_sweep + 1e-9 * max(1.0, j_sweep):
+        raise ConvergenceError(
+            "stationarity-chain Newton reached a root above the descent objective",
+            last_iterate=xs,
+        )
     return TurningSequence(
-        points=np.concatenate([[0.0], stripped]),
+        points=np.concatenate([[0.0], xs[first_live:]]),
         terminated=False,
         model_id=model.spec_string(),
-        diagnostics={"parked_slots": n - len(stripped)},
+        diagnostics={"parked_slots": first_live - 1},
     )
 
 
-def _oracle_compact(model, n, tail, config) -> TurningSequence:
+def _oracle_compact(model, n, tail) -> TurningSequence:
     eng = _compact_engine(model, tail)
     Ls = np.zeros(n + 1)
     Ls[n] = math.inf
@@ -907,9 +900,9 @@ def _oracle_compact(model, n, tail, config) -> TurningSequence:
 
     m_live = min(n - 1, 14)  # deeper slots are objective-flat at float64
     # ascending sweep order 1 .. m_live (anchored at the origin end)
-    if not _descend(eng, Ls, range(1, m_live + 1), config.max_sweeps, lambda ub: 1e-12):
+    if not _descend(eng, Ls, range(1, m_live + 1), _MAX_SWEEPS, lambda ub: 1e-12):
         raise ConvergenceError(
-            f"coordinate descent did not converge in {config.max_sweeps} sweeps",
+            f"coordinate descent did not converge in {_MAX_SWEEPS} sweeps",
             last_iterate=Ls,
         )
     # re-anchor the objective-flat tail on the converged prefix
@@ -935,7 +928,9 @@ def finite_horizon_optimize(
     Terminal condition: x_n = 1 on the unit interval, x_n at the
     configured survival cap on the half line.  Surplus half-line slots
     park at the origin and are stripped from the output.  The result is
-    the standard of comparison for solve and find_x1, not a fast path.
+    the polished stationarity chain or a ConvergenceError, never an
+    uncertified iterate: the standard of comparison for solve and
+    find_x1, not a fast path.
     """
     config = config or SolverConfig()
     if n < 1:
@@ -948,13 +943,6 @@ def finite_horizon_optimize(
                 terminated=True,
                 model_id=model.spec_string(),
             )
-        if n == 1:
-            return TurningSequence(
-                points=np.array([0.0, 1.0]),
-                terminated=True,
-                model_id=model.spec_string(),
-                log_gaps=np.array([0.0, math.inf]),
-            )
-        return _oracle_compact(model, n, tail, config)
+        return _oracle_compact(model, n, tail)
     first_abs_moment(model)
     return _oracle_halfline(model, n, classify_tail(model), config)

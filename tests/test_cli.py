@@ -207,9 +207,11 @@ def test_unknown_family_exits_usage(capsys):
     assert "nosuchfamily" in err
 
 
-def test_bad_arity_exits_usage(capsys):
-    code, _, _ = run_cli(capsys, "solve", "--dist", "exponential:1,2,3")
+@pytest.mark.parametrize("spec", ["exponential:1,2,3", "compactpower:nan", "exponential:inf"])
+def test_bad_arity_exits_usage(capsys, spec):
+    code, out, _ = run_cli(capsys, "solve", "--dist", spec)
     assert code == EXIT_USAGE
+    assert out == ""
 
 
 def test_infinite_mean_exit_code(capsys):

@@ -51,6 +51,9 @@ def test_parse_errors():
         L.parse_spec("lomax:abc")
     with pytest.raises(L.DomainError):
         L.parse_spec("")
+    for spec in ("compactpower:nan", "exponential:inf", "lomax:nan"):
+        with pytest.raises(L.DomainError):
+            L.parse_spec(spec)  # non-finite parameter
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -175,6 +178,9 @@ def test_custom_model_matches_builtin():
         assert L.classify_tail(replica) == L.TailClass(POWER_LAW, index=3.0)
         with pytest.raises(L.NotApplicableError):
             L.closed_form_xk(replica, 10.0)
+        us = np.array([0.1, 0.5, 0.9, 0.999])
+        assert np.allclose(replica.modulus_quantile(us), built.modulus_quantile(us),
+                           rtol=1e-9, atol=0.0)
 
 
 def test_custom_requires_declared_tail():
@@ -223,3 +229,9 @@ def test_constructor_parameter_validation():
         L.lomax(0.0)
     with pytest.raises(L.DomainError):
         L.compact_fast(1.0, -1.0)
+    with pytest.raises(L.DomainError):
+        L.stretched_exp(math.inf, 1.0)
+    with pytest.raises(L.DomainError):
+        L.gumbel_hazard(math.nan)
+    with pytest.raises(L.DomainError):
+        L.TailClass(POWER_LAW, index=math.nan)

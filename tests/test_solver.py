@@ -211,11 +211,21 @@ def test_horizon_oracle_exponential_with_cap():
     assert seq.points[1] == pytest.approx(sol.points[1], rel=1e-9)
     res = L.recurrence_residual(L.parse_spec("exponential:1"), seq)
     assert np.max(np.abs(res)) < 1e-12
+    # at this depth the polished chain's first slots lie far below the cap
+    lom = L.parse_spec("lomax:1.5")
+    seq = L.finite_horizon_optimize(lom, 40, cfg)
+    assert seq.points[1] == pytest.approx(solved("lomax:1.5", 60).points[1], abs=1e-5)
+    assert np.max(np.abs(L.recurrence_residual(lom, seq))) < 1e-12
+    assert seq.diagnostics["parked_slots"] == 11
+    with pytest.raises(L.ConvergenceError):
+        L.finite_horizon_optimize(L.parse_spec("gumbel:1"), 40, cfg)
 
 
-def test_horizon_n1_is_boundary_dash():
-    seq = L.finite_horizon_optimize(L.parse_spec("triangular"), 1)
+@pytest.mark.parametrize("spec", ["triangular", "compactpower:2.5", "compactfast:1,1"])
+def test_horizon_n1_is_boundary_dash(spec):
+    seq = L.finite_horizon_optimize(L.parse_spec(spec), 1)
     assert np.array_equal(seq.points, [0.0, 1.0])
+    assert np.array_equal(seq.log_gaps, [0.0, math.inf])
     assert seq.terminated
 
 

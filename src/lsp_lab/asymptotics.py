@@ -5,13 +5,18 @@ ratios over a tail window, never on absolute differences.  The index
 integral has no canonical lower limit, so predictions derived from it
 are defined up to a constant index shift; callers that need alignment
 fit that shift rather than pretending the law fixes it.
+
+index_integral and invert_index evaluate the index law exactly (quad and
+brentq) for predictions.  The solver only needs it as a seed, so it reads
+tabulate_index instead: one vectorised tabulation per model, through the
+same integrand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate, optimize
@@ -145,6 +150,16 @@ def default_x_low(model: DensityModel) -> float:
     return optimize.brentq(f, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
 
 
+def _index_integrand(model: DensityModel, x, log=np.log):
+    """h/log(x h) at positive x, through the raw array hazard.
+
+    quad passes log=math.log: the scalar path keeps the libm logarithm,
+    which np.log does not match bit for bit.
+    """
+    h = model._hazard(x)
+    return h / log(x * h)
+
+
 def index_integral(
     model: DensityModel, x: float, x_low: Optional[float] = None
 ) -> float:
@@ -167,12 +182,9 @@ def index_integral(
             "integrand crosses the x*h = 1 singularity inside the range; "
             "choose a larger x_low"
         )
-
-    def integrand(u):
-        h = model.hazard(u)
-        return h / math.log(u * h)
-
-    val, _ = integrate.quad(integrand, x_low, x, epsrel=1e-8, limit=300)
+    val, _ = integrate.quad(
+        lambda u: _index_integrand(model, u, math.log), x_low, x, epsrel=1e-8, limit=300
+    )
     return val
 
 
@@ -198,6 +210,55 @@ def invert_index(
     return optimize.brentq(
         f, x_low * (1.0 + 1e-9), hi, xtol=1e-12, rtol=8.9e-16, maxiter=200
     )
+
+
+_NODES_PER_OCTAVE = 64  # seed-table density: the dial absorbs the interpolation error
+_MAX_OCTAVES = 512      # seed-table range past x_low before the inversion gives up
+
+
+def tabulate_index(model: DensityModel) -> Callable[[float], float]:
+    """The index law's inverse t -> x, tabulated for seeding the solver.
+
+    Nothing is computed until the first call.  That call finds x_low and
+    integrates h/log(x h) by Simpson's rule per interval in s = log x, on
+    a geometric grid of _NODES_PER_OCTAVE intervals per octave from x_low,
+    with one array hazard call per extension; the range doubles until it
+    covers the asked index.  Positions interpolate linearly in log x, so
+    they sit within about 1e-4 relative of invert_index, which stays the
+    exact law for predictions.  Indices at or below 0 map to x_low.
+    """
+    ds = math.log(2.0) / _NODES_PER_OCTAVE
+    s = ks = None
+
+    def extend(n):
+        # n more intervals past s[-1]; g = e^s h/log(e^s h) on the half grid
+        nonlocal s, ks
+        s_half = s[-1] + 0.5 * ds * np.arange(2 * n + 1)
+        x = np.exp(s_half)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g = x * _index_integrand(model, x)
+        if not np.all(np.isfinite(g) & (g > 0.0)):
+            raise DomainError(
+                "index integrand is singular or overflows before the asked index; "
+                "could not bracket the index inversion"
+            )
+        steps = ds / 6.0 * (g[:-1:2] + 4.0 * g[1::2] + g[2::2])
+        s = np.concatenate([s, s_half[2::2]])
+        ks = np.concatenate([ks, ks[-1] + np.cumsum(steps)])
+
+    def law(t):
+        nonlocal s, ks
+        if s is None:
+            x_low = default_x_low(model)
+            s, ks = np.array([math.log(x_low)]), np.zeros(1)
+            extend(_NODES_PER_OCTAVE)
+        while ks[-1] < t:
+            if s.size > _MAX_OCTAVES * _NODES_PER_OCTAVE:
+                raise DomainError("could not bracket the index inversion")
+            extend(s.size - 1)
+        return math.exp(float(np.interp(t, ks, s)))
+
+    return law
 
 
 def closed_form_xk(model: DensityModel, k: float) -> float:

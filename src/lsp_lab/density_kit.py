@@ -340,19 +340,15 @@ def log_boundary(c: float = 2.0) -> DensityModel:
         z = e + np.asarray(x, dtype=float)
         return c * z * (np.log(z) - 1.0)
 
-    @_shaped
-    def inv_cum_hazard(vs):
-        def solve_one(val):
-            if val <= 0:
-                return 0.0
-            hi = 1.0
-            while cum_hazard(hi) < val:
-                hi *= 2.0
-            return optimize.brentq(
-                lambda t: cum_hazard(t) - val, 0.0, hi, xtol=1e-14, rtol=8.9e-16
-            )
-
-        return np.asarray([solve_one(t) for t in vs])
+    def inv_cum_hazard(v):
+        # z = e + x solves z (log z - 1) = v/c, so log z - 1 = W(v/(c e))
+        # (Corless et al. 1996); one Newton step mends the cancellation in
+        # z - e near 0
+        v = np.asarray(v, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (v / c) / special.lambertw(v / (c * e)).real - e
+        x = np.where(v > 0.0, np.maximum(x, 0.0), 0.0)
+        return x - (cum_hazard(x) - v) / (c * np.log(e + x))
 
     return DensityModel(
         family="logboundary",

@@ -277,6 +277,9 @@ def _scalar(fn) -> Callable[[float], float]:
 
 
 def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine:
+    """Forms in x.  Power-law tails seed from the geometric Pareto orbit;
+    the other classes from the tabulated index integral, which only a seed
+    request builds, while the exact invert_index stays with predictions."""
     h = _scalar(model._hazard)
     H = _scalar(model._cum_hazard)
     Hinv = _scalar(model._inv_cum_hazard)
@@ -301,11 +304,8 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
         r = asymptotics.pareto_rate(tail.index)
         law = lambda t: 0.5 * r**t
     else:
-        x_low = asymptotics.default_x_low(model)
-
-        def law(t):
-            # march probes can push the continuous index below 0
-            return asymptotics.invert_index(model, max(t, 1e-6), x_low=x_low)
+        # the dial absorbs the table's offset from the exact law
+        law = asymptotics.tabulate_index(model)
 
     return _Engine(
         model.spec_string(), "x", H, Hinv, log_w, lambda u: u, law, h, dlog_w

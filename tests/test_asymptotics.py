@@ -113,6 +113,19 @@ def test_invert_index_round_trip():
         assert A.index_integral(exp, x) == pytest.approx(k, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "spec", ["exponential:1", "stretchedexp:1,1", "gumbel:1", "logboundary:2", "lognormal:1"]
+)
+def test_index_table_tracks_exact_inversion(spec):
+    model = dk.parse_spec(spec)
+    law = A.tabulate_index(model)
+    x_low = A.default_x_low(model)
+    for t in (0.5, 1.0, 10.0, 100.0, 210.0):
+        assert law(t) == pytest.approx(A.invert_index(model, t, x_low=x_low), rel=1e-3)
+    # at or below index 0 the table starts at x_low
+    assert law(-3.0) == pytest.approx(x_low, rel=1e-14)
+
+
 def test_invert_index_tracks_solver_exponential(seq_exp210):
     model = dk.parse_spec("exponential:1")
     ratio = A.invert_index(model, 100) / seq_exp210.points[100]

@@ -85,6 +85,23 @@ def test_inverse_cumulative_hazard(spec):
     assert np.allclose(back, xs, rtol=1e-9)
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0, 5.0])
+def test_log_boundary_inverse_is_exact(c):
+    # the Lambert-W inverse of H, polished by one Newton step
+    model = L.parse_spec(f"logboundary:{c}")
+    xs = np.geomspace(1e-3, 1e6, 2001)
+    vs = model.cumulative_hazard(xs)
+    back = model.inverse_cumulative_hazard(vs)
+    assert np.allclose(back, xs, rtol=1e-12, atol=0.0)
+    assert np.allclose(model.cumulative_hazard(back), vs, rtol=1e-12, atol=0.0)
+    assert model.inverse_cumulative_hazard(0.0) == 0.0
+    us = np.array([0.0, 1e-300, 1e-17, 0.5, 1.0 - 2.0**-53])
+    qs = model.modulus_quantile(us)
+    assert np.all(np.isfinite(qs)) and np.all(np.diff(qs) > 0.0)
+    qs = model.modulus_quantile(np.linspace(0.0, 1.0 - 2.0**-53, 100_001))
+    assert np.all(np.isfinite(qs)) and np.all(np.diff(qs) >= 0.0)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_quantile_matches_survival(spec):
     model = L.parse_spec(spec)

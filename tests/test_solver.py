@@ -12,6 +12,7 @@ import pytest
 from conftest import custom_compact_rv, custom_log_boundary, custom_lomax, solved
 
 import lsp_lab as L
+from lsp_lab import asymptotics as A
 from lsp_lab import cli
 from lsp_lab.solver import (
     MONOTONICITY_VIOLATED,
@@ -292,3 +293,30 @@ def test_compact_power_seed_law_overflow_is_typed():
 def test_find_x1_error_paths(spec, bracket, error):
     with pytest.raises(error):
         L.find_x1(L.parse_spec(spec), L.SolverConfig(x1_bracket=bracket))
+
+
+@pytest.mark.parametrize(
+    "spec", ["exponential:1", "stretchedexp:1,1", "gumbel:1", "logboundary:2", "lognormal:1"]
+)
+def test_halfline_solve_never_inverts_the_exact_index_law(spec, monkeypatch):
+    # the seed comes from the tabulated index law; the exact inversion is
+    # for predictions only
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve called the exact index law")
+
+    monkeypatch.setattr(A, "invert_index", refuse)
+    monkeypatch.setattr(A, "index_integral", refuse)
+    model = L.parse_spec(spec)
+    seq = L.solve(model, L.SolverConfig(k_max=60))
+    assert not [k for k in seq.diagnostics if k.endswith("_error")]
+    assert seq.diagnostics["x1_bisection_reldev"] <= 1e-5
+    assert seq.diagnostics["x1_oracle_reldev"] <= 1e-3
+    assert np.max(np.abs(L.recurrence_residual(model, seq))) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", ["lognormal:1", "lognormal:3"])
+def test_lognormal_solves_at_large_k(spec):
+    model = L.parse_spec(spec)
+    seq = L.solve(model, L.SolverConfig(k_max=200, cross_check=False))
+    assert seq.is_strictly_increasing()
+    assert np.max(np.abs(L.recurrence_residual(model, seq))) <= 1e-10

@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--samples", type=int, default=None,
                          help="attach a Monte-Carlo expected-time estimate")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--jobs", type=int, default=1)
+    p_solve.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; Monte Carlo runs serially")
 
     p_pred = sub.add_parser("predict", parents=[dist_parent, io_parent],
                             help="evaluate an asymptotic law")

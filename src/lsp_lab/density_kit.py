@@ -343,12 +343,14 @@ def log_boundary(c: float = 2.0) -> DensityModel:
     def inv_cum_hazard(v):
         # z = e + x solves z (log z - 1) = v/c, so log z - 1 = W(v/(c e))
         # (Corless et al. 1996); one Newton step mends the cancellation in
-        # z - e near 0
+        # z - e near 0; W(inf) = inf leaves inf/inf at v = inf, so that
+        # level maps to inf explicitly
         v = np.asarray(v, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = (v / c) / special.lambertw(v / (c * e)).real - e
         x = np.where(v > 0.0, np.maximum(x, 0.0), 0.0)
-        return x - (cum_hazard(x) - v) / (c * np.log(e + x))
+        x = x - (cum_hazard(x) - v) / (c * np.log(e + x))
+        return np.where(v == np.inf, np.inf, x)
 
     return DensityModel(
         family="logboundary",

@@ -15,7 +15,8 @@ Three routes to the same object:
   any horizon the float format can express.
 - finite_horizon_optimize minimizes the truncated objective directly
   (cyclic coordinate descent plus a Newton polish of the stationarity
-  chain) and is used as an independent cross-check on the other two.
+  chain; on the half line, for each live count in turn) and is used as
+  an independent cross-check on the other two.
 
 On the unit interval everything runs in the log-gap coordinate
 L = -log(1-x): interior points approach 1 doubly exponentially, so x
@@ -62,7 +63,8 @@ NUMERIC_UNDERFLOW = "NumericUnderflow"
 
 _BISECTION_TOL = 1e-12  # relative bracket width at which find_x1 stops
 _HORIZON_N = 40  # oracle horizon for solve's x1 cross-check
-_MAX_SWEEPS = 400  # cap on the oracle's coordinate-descent sweeps
+_MAX_SWEEPS = 400  # cap on the compact oracle's coordinate-descent sweeps
+_HALFLINE_SWEEPS = 6  # descent sweeps before each half-line polish
 
 
 @dataclass
@@ -831,63 +833,40 @@ def _descend(eng: _Engine, us: np.ndarray, slots, max_sweeps: int, xatol) -> boo
 
 
 def _oracle_halfline(model, n, tail, config) -> TurningSequence:
+    """Scan the live count m = 1..n for the lowest-objective certified chain.
+
+    A slot parked at the origin adds nothing to the objective, so the
+    n-slot optimum is the best chain with every slot live.  Each m starts
+    from equal-H spacing up to the cap, takes a short descent and the
+    Newton polish.  m = 1 has no interior slot and is always certified;
+    the scan stops at the first m whose polish fails or whose objective
+    does not fall.
+    """
     eng = _halfline_engine(model, tail)
     H, Hinv = eng.hc, eng.hc_inv
     x_n = Hinv(-math.log(config.cap_survival))
-    xs = np.array([Hinv(H(x_n) * k / n) for k in range(n + 1)], dtype=float)
-    xs[0], xs[n] = 0.0, x_n
     xatol = lambda ub: 1e-13 * max(1.0, ub)
-
-    if not _descend(eng, xs, range(n - 1, 0, -1), _MAX_SWEEPS, xatol):
-        raise ConvergenceError(
-            f"coordinate descent did not converge in {_MAX_SWEEPS} sweeps",
-            last_iterate=xs,
-        )
-
-    # Surplus horizon capacity leaves the descent with bunched slots:
-    # excursion duplicates whose objective contribution ~2*x*G(x) can sit
-    # below the sweep tolerance (deep tail) yet wreck the stationarity
-    # chain.  The true optimum parks surplus as a zero prefix, so remove
-    # near-duplicates (removal never increases J), shift zeros in at the
-    # front, and re-relax until the live chain is duplicate-free.
-    first_live = 1
-    for _ in range(n):
-        vals = list(xs[first_live:n])
-        kept = []
-        for i, v in enumerate(vals):
-            nxt = vals[i + 1] if i + 1 < len(vals) else x_n
-            if nxt - v > 1e-5 * nxt:
-                kept.append(v)
-        if len(kept) == len(vals):
+    best, best_j = None, math.inf
+    for m in range(1, n + 1):
+        xs = np.array([Hinv(H(x_n) * k / m) for k in range(m + 1)], dtype=float)
+        xs[0], xs[m] = 0.0, x_n
+        _descend(eng, xs, range(m - 1, 0, -1), _HALFLINE_SWEEPS, xatol)
+        j_sweep = _objective(eng, xs)
+        try:
+            _polish(eng, xs, 1)
+        except ConvergenceError:
             break
-        first_live = n - len(kept)
-        xs[1:first_live] = 0.0
-        xs[first_live:n] = kept
-        _descend(eng, xs, range(n - 1, first_live - 1, -1), 80, xatol)
-
-    # The descent can also park surplus by sliding a slot to the origin;
-    # fold such near-zero slots into the parked prefix so they do not
-    # enter the stationarity chain.
-    while first_live < n and xs[first_live] <= 1e-12 * x_n:
-        xs[first_live] = 0.0
-        first_live += 1
-
-    # Newton polish of the live chain.  The chain has spurious roots out
-    # in the power-law deep tail; ordered chains in [0, x_n] hold a unique
-    # stationary point, so a polish that raises the objective reached one
-    # of those and the horizon has no certified answer.
-    j_sweep = _objective(eng, xs)
-    _polish(eng, xs, first_live)
-    if _objective(eng, xs) > j_sweep + 1e-9 * max(1.0, j_sweep):
-        raise ConvergenceError(
-            "stationarity-chain Newton reached a root above the descent objective",
-            last_iterate=xs,
-        )
+        j = _objective(eng, xs)
+        # The chain has spurious roots out in the power-law deep tail; a
+        # polish that raises the descent objective reached one of those.
+        if j > j_sweep + 1e-9 * max(1.0, j_sweep) or j >= best_j:
+            break
+        best, best_j = xs, j
     return TurningSequence(
-        points=np.concatenate([[0.0], xs[first_live:]]),
+        points=best,
         terminated=False,
         model_id=model.spec_string(),
-        diagnostics={"parked_slots": first_live - 1},
+        diagnostics={"parked_slots": n + 1 - len(best)},
     )
 
 
@@ -926,11 +905,14 @@ def finite_horizon_optimize(
     """Minimize the truncated objective over n turning points.
 
     Terminal condition: x_n = 1 on the unit interval, x_n at the
-    configured survival cap on the half line.  Surplus half-line slots
-    park at the origin and are stripped from the output.  The result is
-    the polished stationarity chain or a ConvergenceError, never an
-    uncertified iterate: the standard of comparison for solve and
-    find_x1, not a fast path.
+    configured survival cap on the half line.  On the half line the
+    result is the lowest-objective polished chain over live counts
+    1..n; the n - live surplus slots park at the origin, are stripped
+    from the output and counted in diagnostics["parked_slots"].  The
+    result is always a polished stationarity chain, never an uncertified
+    iterate; the unit interval raises ConvergenceError where its polish
+    fails.  It is the standard of comparison for solve and find_x1, not
+    a fast path.
     """
     config = config or SolverConfig()
     if n < 1:

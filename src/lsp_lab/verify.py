@@ -2,15 +2,13 @@
 
 The Monte-Carlo estimator is the one genuinely independent oracle in the
 package: it never touches the recurrence, only the strategy itself.  Its
-contract is bitwise reproducibility for a fixed seed regardless of how
-many workers run the chunks (counter-based per-chunk substreams, fixed
-pairwise reduction order).
+contract is bitwise reproducibility for a fixed seed (counter-based
+per-chunk substreams, fixed pairwise reduction order).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -136,7 +134,7 @@ def _mc_chunk(model, sides, csum, n_in_chunk, seed, chunk_index):
     """Simulate one chunk; returns [sum T, sum T^2, n accepted, n rejected].
 
     The generator is keyed by (seed, chunk index) alone, so the result
-    is a pure function of those regardless of which worker runs it.
+    is a pure function of those.
     """
     g = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
     u = g.random(n_in_chunk)
@@ -169,7 +167,9 @@ def expected_search_time_mc(
     Samples a modulus and a side; the time is 2*(sum of earlier turning
     distances) + the final partial leg.  Targets beyond the sequence's
     reach are rejected and counted.  A terminated sequence implicitly
-    mirrors its boundary leg so both sides are covered.
+    mirrors its boundary leg so both sides are covered.  n_jobs is
+    accepted for compatibility and has no effect: the chunks run
+    serially, because a thread pool measured no faster.
     """
     if n_samples < 2:
         raise DomainError("need at least 2 samples")
@@ -185,22 +185,11 @@ def expected_search_time_mc(
 
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, n_samples - ci * _CHUNK) for ci in range(n_chunks)]
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            partials = list(
-                pool.map(
-                    lambda ci: _mc_chunk(model, sides, csum, sizes[ci], seed, ci),
-                    range(n_chunks),
-                )
-            )
-    else:
-        partials = [
-            _mc_chunk(model, sides, csum, sizes[ci], seed, ci)
-            for ci in range(n_chunks)
-        ]
     # fixed-shape pairwise reduction: the tree depends only on the chunk
-    # count, so worker scheduling cannot change the rounding
-    arr = partials
+    # count, so the rounding depends only on (n_samples, seed)
+    arr = [
+        _mc_chunk(model, sides, csum, sizes[ci], seed, ci) for ci in range(n_chunks)
+    ]
     while len(arr) > 1:
         nxt = [arr[i] + arr[i + 1] for i in range(0, len(arr) - 1, 2)]
         if len(arr) % 2:

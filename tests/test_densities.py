@@ -85,6 +85,15 @@ def test_inverse_cumulative_hazard(spec):
     assert np.allclose(back, xs, rtol=1e-9)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_inverse_cumulative_hazard_at_infinity(spec):
+    # infinite cumulative hazard is the end of the support, never NaN
+    model = L.parse_spec(spec)
+    end = 1.0 if model.support == "unit-interval" else math.inf
+    assert model.inverse_cumulative_hazard(math.inf) == end
+    assert model.inverse_cumulative_hazard(np.array([1.0, math.inf]))[1] == end
+
+
 @pytest.mark.parametrize("c", [0.5, 2.0, 5.0])
 def test_log_boundary_inverse_is_exact(c):
     # the Lambert-W inverse of H, polished by one Newton step

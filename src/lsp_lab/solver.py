@@ -3,20 +3,22 @@
 Three routes to the same object:
 
 - shoot_forward iterates the optimality recurrence in x coordinates.  It
-  is the textbook method and the basis of find_x1, but forward iteration
-  amplifies seed error so violently that no float x1 survives more than
-  a dozen steps on most families.  The failure *mode* (collapse versus
-  underflow) still flips cleanly across the true x1, which is what the
-  bisection actually uses.
+  is the textbook method and the basis of find_x1 (which runs the same
+  step over arrays of trial x1), but forward iteration amplifies seed
+  error so violently that no float x1 survives more than a dozen steps
+  on most families.  The failure *mode* (collapse versus underflow)
+  still flips cleanly across the true x1, which is what the bisection
+  actually uses.
 - solve integrates the recurrence in reverse from deep-tail asymptotic
   seeds, where the same instability works for us: contraction toward the
   true orbit.  A one-parameter dial shifts the seed along the asymptotic
   law; the landing residual at the origin pins the dial.  This reaches
   any horizon the float format can express.
 - finite_horizon_optimize minimizes the truncated objective directly
-  (cyclic coordinate descent plus a Newton polish of the stationarity
-  chain; on the half line, for each live count in turn) and is used as
-  an independent cross-check on the other two.
+  (a Newton polish of the stationarity chain: on the unit interval after
+  cyclic coordinate descent, on the half line for each live count in
+  turn, warm-started from the previous count) and is used as an
+  independent cross-check on the other two.
 
 On the unit interval everything runs in the log-gap coordinate
 L = -log(1-x): interior points approach 1 doubly exponentially, so x
@@ -64,7 +66,6 @@ NUMERIC_UNDERFLOW = "NumericUnderflow"
 _BISECTION_TOL = 1e-12  # relative bracket width at which find_x1 stops
 _HORIZON_N = 40  # oracle horizon for solve's x1 cross-check
 _MAX_SWEEPS = 400  # cap on the compact oracle's coordinate-descent sweeps
-_HALFLINE_SWEEPS = 6  # descent sweeps before each half-line polish
 
 
 @dataclass
@@ -150,6 +151,19 @@ class ShootResult:
 # ---------------------------------------------------------------------------
 
 
+def _step(model: DensityModel, x_prev, x_cur):
+    """x_next = (G(x_cur) + G(x_prev))/p(x_cur) - x_cur, elementwise, and p(x_cur).
+
+    The one forward-step formula, for scalars and arrays alike.  Where p
+    is not positive and finite the step is undefined and x_next carries
+    whatever the division gave; callers classify that case first.
+    """
+    p = np.asarray(model.pdf(x_cur))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_next = (model.survival(x_cur) + model.survival(x_prev)) / p - x_cur
+    return x_next, p
+
+
 def recurrence_step(model: DensityModel, x_prev: float, x_cur: float) -> float:
     """One forward step: x_next = (G(x_cur) + G(x_prev))/p(x_cur) - x_cur.
 
@@ -162,15 +176,36 @@ def recurrence_step(model: DensityModel, x_prev: float, x_cur: float) -> float:
         raise DomainError("need 0 <= x_prev < x_cur")
     if model.support == UNIT_INTERVAL and x_cur >= 1.0:
         raise DomainError("boundary already reached; the plan terminates here")
-    p = model.pdf(x_cur)
+    x_next, p = _step(model, x_prev, x_cur)
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError("pdf underflow at x_cur; recurrence step undefined")
-    g_cur = model.survival(x_cur)
-    g_prev = model.survival(x_prev)
-    x_next = (g_cur + g_prev) / p - x_cur
     if not math.isfinite(x_next):
         raise DomainError("recurrence step overflowed")
-    return x_next
+    return float(x_next)
+
+
+def _shoot_modes(model: DensityModel, x1s: np.ndarray, k_max: int) -> np.ndarray:
+    """shoot_forward's outcome for every x1 in x1s on the half line, in one pass.
+
+    Each step advances all live lanes through _step at once and retires
+    a lane exactly where shoot_forward would end: NUMERIC_UNDERFLOW when
+    the step is undefined or not finite, MONOTONICITY_VIOLATED when
+    x_next <= x_cur.  Lanes still live after k_max - 1 steps survived.
+    """
+    modes = np.full(len(x1s), SURVIVED, dtype=object)
+    live = np.arange(len(x1s))
+    x_prev, x_cur = np.zeros(len(x1s)), np.asarray(x1s, dtype=float)
+    for _ in range(1, k_max):
+        if not live.size:
+            break
+        x_next, p = _step(model, x_prev, x_cur)
+        under = ~((p > 0.0) & np.isfinite(p) & np.isfinite(x_next))
+        collapse = ~under & (x_next <= x_cur)
+        modes[live[under]] = NUMERIC_UNDERFLOW
+        modes[live[collapse]] = MONOTONICITY_VIOLATED
+        keep = ~(under | collapse)
+        live, x_prev, x_cur = live[keep], x_cur[keep], x_next[keep]
+    return modes
 
 
 def shoot_forward(model: DensityModel, x1: float, k_max: int) -> ShootResult:
@@ -278,6 +313,20 @@ def _scalar(fn) -> Callable[[float], float]:
     return lambda t: float(fn(np.asarray(t, dtype=float)))
 
 
+def _overflow_checked(model: DensityModel, law: Callable[[float], float]):
+    """law, with a float overflow raised as ConvergenceError at its index."""
+
+    def checked(t):
+        try:
+            return law(t)
+        except OverflowError:
+            raise ConvergenceError(
+                f"{model.spec_string()}: seed law overflows at index {t:g}"
+            ) from None
+
+    return checked
+
+
 def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engine:
     """Forms in x.  Power-law tails seed from the geometric Pareto orbit;
     the other classes from the tabulated index integral, which only a seed
@@ -304,7 +353,7 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
     if tail.kind == POWER_LAW:
         # geometric deep orbit; the dial absorbs the prefactor
         r = asymptotics.pareto_rate(tail.index)
-        law = lambda t: 0.5 * r**t
+        law = _overflow_checked(model, lambda t: 0.5 * r**t)
     else:
         # the dial absorbs the table's offset from the exact law
         law = asymptotics.tabulate_index(model)
@@ -363,14 +412,7 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Compac
         Hp = lambda L: c
         Hinv = lambda v: v / c
 
-        def law(t):
-            try:
-                return max(1e-9, r**t - math.log(2.0 * c))
-            except OverflowError:
-                raise ConvergenceError(
-                    f"{model.spec_string()}: seed law overflows at index {t:g}"
-                ) from None
-
+        law = _overflow_checked(model, lambda t: max(1e-9, r**t - math.log(2.0 * c)))
         first_slot = lambda k, L_prev: max(1.2 * r**k - math.log(2 * c), 0.05 * k)
         next_slot = lambda k, L_prev: (c * L_prev + math.log(2 * c)) / (c - 1.0)
     elif tail.kind == COMPACT_RV and model.rv_params is not None:
@@ -573,26 +615,38 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
 
     if config.cross_check:
         x1 = float(seq.points[1])
-        # (diagnostic key, route, deviation threshold, errors that make it
-        # unavailable, its names in the two warnings)
+
+        def bisection():
+            got = find_x1(model, config)
+            return got, got, x1
+
+        def oracle():
+            # compared in the working coordinate: on the unit interval x1
+            # can round to 1.0 on both sides while L1 still differs
+            got = finite_horizon_optimize(model, _HORIZON_N, config)
+            u = got.points if got.log_gaps is None else got.log_gaps
+            return float(got.points[1]), float(u[1]), float(us[1])
+
+        # (diagnostic key, route -> (x1, compared value, its reference),
+        # deviation threshold, errors that make it unavailable, its names
+        # in the two warnings)
         checks = (
-            ("x1_bisection", lambda: find_x1(model, config), 1e-5,
+            ("x1_bisection", bisection, 1e-5,
              (BracketError, NonMonotonePredicateError, NotApplicableError),
              "bisection", "find_x1"),
-            ("x1_oracle",
-             lambda: float(finite_horizon_optimize(model, _HORIZON_N, config).points[1]),
-             1e-3, (ConvergenceError, NotApplicableError), "oracle", "oracle"),
+            ("x1_oracle", oracle, 1e-3, (ConvergenceError, NotApplicableError),
+             "oracle", "oracle"),
         )
         for key, route, threshold, errors, name, route_name in checks:
             try:
-                x1_route = route()
+                x1_route, got, ref = route()
             except errors as exc:
                 seq.diagnostics[f"{key}_error"] = str(exc)
                 log.warning("%s: %s cross-check unavailable: %s",
                             model.spec_string(), route_name, exc)
                 continue
             seq.diagnostics[key] = x1_route
-            rel = abs(x1_route - x1) / x1
+            rel = abs(got - ref) / ref
             seq.diagnostics[f"{key}_reldev"] = rel
             if rel > threshold:
                 log.warning(
@@ -607,65 +661,89 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
 # ---------------------------------------------------------------------------
 
 
-def _forward_L_shoot(A0, s, H, L1, k_max):
-    """Forward recurrence in log-gap coordinates for compact families.
+def _forward_L_shoot(A0, s, H, L1s, k_max) -> np.ndarray:
+    """Forward recurrence in log-gap coordinates for compact families, per lane.
 
-    Returns ("boundary", k) when the orbit crosses x = 1 (dial too
-    high), ("collapse", k) when L stops increasing (dial too low), or
-    ("survived", None).
+    H maps arrays.  A lane ends "boundary" when its orbit crosses x = 1
+    (dial too high) or "collapse" when L stops increasing (dial too
+    low); lanes still live after k_max - 1 steps are "survived".
     """
-    L_prev, L_cur = 0.0, L1
-    for k in range(1, k_max):
-        y = H(L_cur) - H(L_prev)
-        t = y - s * L_cur
-        if t > 690.0:
-            return ("boundary", k)
-        x_cur = -math.expm1(-L_cur)
-        eps_next = (1.0 + x_cur) - (math.exp(t) + math.exp(-s * L_cur)) / A0
-        if eps_next <= 0.0:
-            return ("boundary", k)
-        L_next = -math.log(eps_next)
-        if L_next <= L_cur:
-            return ("collapse", k)
-        L_prev, L_cur = L_cur, L_next
-    return ("survived", None)
+    modes = np.full(len(L1s), "survived", dtype=object)
+    live = np.arange(len(L1s))
+    L_cur = np.asarray(L1s, dtype=float)
+    H_prev = H(np.zeros(len(L1s)))
+    for _ in range(1, k_max):
+        if not live.size:
+            break
+        H_cur = H(L_cur)
+        t = H_cur - H_prev - s * L_cur
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x_cur = -np.expm1(-L_cur)
+            eps_next = (1.0 + x_cur) - (np.exp(t) + np.exp(-s * L_cur)) / A0
+            L_next = -np.log(eps_next)
+        boundary = (t > 690.0) | (eps_next <= 0.0)
+        collapse = ~boundary & (L_next <= L_cur)
+        modes[live[boundary]] = "boundary"
+        modes[live[collapse]] = "collapse"
+        keep = ~(boundary | collapse)
+        live, H_prev, L_cur = live[keep], H_cur[keep], L_next[keep]
+    return modes
 
 
-def _scan_bisect(mode, grid, below, above, survived, tol, one_sided, unbracketed):
-    """Bisect the last below-then-above flip of mode across grid.
+_BISECT_LEVELS = 5  # bisection levels _scan_bisect evaluates per array pass
 
-    Raises one_sided when no grid point is below, unbracketed when no
-    adjacent grid pair flips from below to above.
+
+def _scan_bisect(modes, grid, below, above, survived, tol, one_sided, unbracketed):
+    """Bisect the last below-then-above flip of the mode across grid.
+
+    modes maps an array of points to their labels in one pass; the
+    whole grid takes one call.  Each bisection call then labels the next
+    _BISECT_LEVELS levels of the tree under the current bracket at once:
+    its 2**_BISECT_LEVELS - 1 midpoints in heap order, each formed as
+    0.5 * (a + b) from its parent interval.  The walk down that tree
+    makes the one-midpoint-at-a-time loop's decisions (stop once
+    b - a <= tol * a, end at a survived midpoint), so the result is
+    bitwise that loop's.  Raises one_sided when no grid point is below,
+    unbracketed when no adjacent grid pair flips from below to above.
     """
-    modes = [mode(t) for t in grid]
+    labels = list(modes(grid))
     pair = None
     for i in range(len(grid) - 1):
-        if modes[i] == below and modes[i + 1] == above:
+        if labels[i] == below and labels[i + 1] == above:
             pair = (grid[i], grid[i + 1])
     if pair is None:
-        raise one_sided if below not in modes else unbracketed
+        raise one_sided if below not in labels else unbracketed
     a, b = pair
     while b - a > tol * a:
-        m = 0.5 * (a + b)
-        md = mode(m)
-        if md == survived:
-            a = b = m
-            break
-        if md == below:
-            a = m
-        else:
-            b = m
+        los, his, mids = [a], [b], []
+        for i in range(2**_BISECT_LEVELS - 1):
+            m = 0.5 * (los[i] + his[i])
+            mids.append(m)
+            los += [los[i], m]
+            his += [m, his[i]]
+        labels = modes(np.array(mids))
+        i = 0
+        while i < len(mids) and b - a > tol * a:
+            if labels[i] == survived:
+                return mids[i]
+            if labels[i] == below:
+                a, i = mids[i], 2 * i + 2
+            else:
+                b, i = mids[i], 2 * i + 1
     return 0.5 * (a + b)
 
 
 def _find_x1_compact(model, tail, config) -> float:
     eng = _compact_engine(model, tail)
+    # the engine's own scalar H per lane: the labels near the flip depend
+    # on its last bits
+    H = np.vectorize(eng.hc, otypes=[float])
     lo_x, hi_x = config.x1_bracket
     lo = -math.log1p(-min(lo_x, 1.0 - 1e-12))
     hi = -math.log1p(-min(hi_x, 1.0 - 1e-12))
     k_cap = min(config.k_max, 60)
     L1 = _scan_bisect(
-        lambda L1: _forward_L_shoot(eng.A0, eng.s, eng.hc, L1, k_cap)[0],
+        lambda L1s: _forward_L_shoot(eng.A0, eng.s, H, L1s, k_cap),
         np.geomspace(lo, hi, 120), "collapse", "boundary", "survived",
         _BISECTION_TOL,
         NonMonotonePredicateError(
@@ -703,7 +781,7 @@ def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float
         lo *= 10.0
     k_cap = min(config.k_max, 60)
     return _scan_bisect(
-        lambda x1: shoot_forward(model, x1, k_cap).outcome,
+        lambda x1s: _shoot_modes(model, x1s, k_cap),
         np.geomspace(lo, hi, 120), MONOTONICITY_VIOLATED, NUMERIC_UNDERFLOW, SURVIVED,
         _BISECTION_TOL,
         NonMonotonePredicateError(
@@ -804,18 +882,17 @@ def _objective(eng: _Engine, us: np.ndarray) -> float:
     return tot
 
 
-def _descend(eng: _Engine, us: np.ndarray, slots, max_sweeps: int, xatol) -> bool:
+def _descend(eng: _Engine, us: np.ndarray, slots) -> bool:
     """Cyclic coordinate descent on the truncated objective, in place.
 
     Each sweep minimises over one slot at a time, in the order of slots,
     between its neighbours; a slot next to u_n = inf (the unit interval's
-    boundary) searches up to 60 past its current value.  xatol maps that
-    upper bound to the absolute tolerance.  Returns whether a sweep
-    gained less than 1e-12 within max_sweeps.
+    boundary) searches up to 60 past its current value.  Returns whether
+    a sweep gained less than 1e-12 within _MAX_SWEEPS.
     """
     G = lambda u: _survival(eng, u)
     prev = _objective(eng, us)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for k in slots:
             g_prev, x_next = G(us[k - 1]), eng.to_x(us[k + 1])
             ub = us[k + 1] if math.isfinite(us[k + 1]) else us[k] + 60.0
@@ -823,7 +900,7 @@ def _descend(eng: _Engine, us: np.ndarray, slots, max_sweeps: int, xatol) -> boo
                 lambda u: eng.to_x(u) * (G(u) + g_prev) + x_next * G(u),
                 bounds=(us[k - 1], ub),
                 method="bounded",
-                options={"xatol": xatol(ub)},
+                options={"xatol": 1e-12},
             ).x
         cur = _objective(eng, us)
         if prev - cur < 1e-12:
@@ -836,30 +913,30 @@ def _oracle_halfline(model, n, tail, config) -> TurningSequence:
     """Scan the live count m = 1..n for the lowest-objective certified chain.
 
     A slot parked at the origin adds nothing to the objective, so the
-    n-slot optimum is the best chain with every slot live.  Each m starts
-    from equal-H spacing up to the cap, takes a short descent and the
-    Newton polish.  m = 1 has no interior slot and is always certified;
-    the scan stops at the first m whose polish fails or whose objective
-    does not fall.
+    n-slot optimum is the best chain with every slot live.  m = 1 is
+    [0, x_n], with no interior slot, and is always certified.  Chain m
+    continues from the best chain on m - 1 slots: one slot is added at
+    the H-midpoint of its last interior slot and the cap (for m = 2,
+    equal-H spacing), and the Newton polish takes it from there.  The
+    scan stops at the first m whose polish fails, raises the objective
+    of its start, or does not lower the best objective.
     """
     eng = _halfline_engine(model, tail)
     H, Hinv = eng.hc, eng.hc_inv
     x_n = Hinv(-math.log(config.cap_survival))
-    xatol = lambda ub: 1e-13 * max(1.0, ub)
-    best, best_j = None, math.inf
-    for m in range(1, n + 1):
-        xs = np.array([Hinv(H(x_n) * k / m) for k in range(m + 1)], dtype=float)
-        xs[0], xs[m] = 0.0, x_n
-        _descend(eng, xs, range(m - 1, 0, -1), _HALFLINE_SWEEPS, xatol)
-        j_sweep = _objective(eng, xs)
+    best = np.array([0.0, x_n])
+    best_j = _objective(eng, best)
+    for m in range(2, n + 1):
+        xs = np.insert(best, m - 1, Hinv(0.5 * (H(best[-2]) + H(x_n))))
+        j_start = _objective(eng, xs)
         try:
             _polish(eng, xs, 1)
         except ConvergenceError:
             break
         j = _objective(eng, xs)
         # The chain has spurious roots out in the power-law deep tail; a
-        # polish that raises the descent objective reached one of those.
-        if j > j_sweep + 1e-9 * max(1.0, j_sweep) or j >= best_j:
+        # polish that raises the objective of its start reached one of those.
+        if j > j_start + 1e-9 * max(1.0, j_start) or j >= best_j:
             break
         best, best_j = xs, j
     return TurningSequence(
@@ -879,7 +956,7 @@ def _oracle_compact(model, n, tail) -> TurningSequence:
 
     m_live = min(n - 1, 14)  # deeper slots are objective-flat at float64
     # ascending sweep order 1 .. m_live (anchored at the origin end)
-    if not _descend(eng, Ls, range(1, m_live + 1), _MAX_SWEEPS, lambda ub: 1e-12):
+    if not _descend(eng, Ls, range(1, m_live + 1)):
         raise ConvergenceError(
             f"coordinate descent did not converge in {_MAX_SWEEPS} sweeps",
             last_iterate=Ls,

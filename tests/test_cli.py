@@ -332,3 +332,10 @@ def test_sweep_solves_each_entry_once(capsys, tmp_path, monkeypatch):
     code, _ = _run_sweep(capsys, tmp_path, "out")
     assert code == EXIT_OK
     assert len(calls) == 3
+
+
+def test_power_law_seed_overflow_exits_not_converging(capsys):
+    code, out, err = run_cli(capsys, "solve", "--dist", "lomax:3", "--k-max", "2000")
+    assert code == EXIT_NOT_CONVERGING
+    assert out == ""
+    assert "seed law overflows" in err

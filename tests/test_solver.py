@@ -13,6 +13,7 @@ from conftest import custom_compact_rv, custom_log_boundary, custom_lomax, solve
 
 import lsp_lab as L
 from lsp_lab import asymptotics as A
+from lsp_lab import solver as S
 from lsp_lab import cli
 from lsp_lab.solver import (
     MONOTONICITY_VIOLATED,
@@ -341,3 +342,93 @@ def test_lognormal_solves_at_large_k(spec):
     seq = L.solve(model, L.SolverConfig(k_max=200, cross_check=False))
     assert seq.is_strictly_increasing()
     assert np.max(np.abs(L.recurrence_residual(model, seq))) <= 1e-10
+
+
+# find_x1 at the commit before its array passes, as float.hex; the batched
+# scan and bisection must reproduce these to the last bit
+FIND_X1_PINNED = {
+    "lomax:3": "0x1.d3a795c7ccaaep-2",
+    "exponential:1": "0x1.5a6a5a2d9311ap+0",
+}
+
+
+@pytest.mark.parametrize("spec,want", sorted(FIND_X1_PINNED.items()))
+def test_find_x1_is_bitwise_pinned(spec, want):
+    got = L.find_x1(L.parse_spec(spec), L.SolverConfig(k_max=200))
+    assert got.hex() == want
+
+
+def _scalar_L_mode(A0, s, H, L1, k_max):
+    # the per-point log-gap recurrence, one float at a time
+    L_prev, L_cur = 0.0, L1
+    for _ in range(1, k_max):
+        t = H(L_cur) - H(L_prev) - s * L_cur
+        if t > 690.0:
+            return "boundary"
+        eps_next = (1.0 - math.expm1(-L_cur)) - (math.exp(t) + math.exp(-s * L_cur)) / A0
+        if eps_next <= 0.0:
+            return "boundary"
+        L_next = -math.log(eps_next)
+        if L_next <= L_cur:
+            return "collapse"
+        L_prev, L_cur = L_cur, L_next
+    return "survived"
+
+
+@pytest.mark.parametrize(
+    "spec", ["lomax:3", "exponential:1", "lognormal:1", "triangular", "compactfast:1,1"]
+)
+def test_batched_modes_match_per_point_shooting(spec):
+    # find_x1's 120-point scan grid, plus 120 points within 1e-9 of x1
+    # where the mode flips, labelled in one array pass and point by point
+    model = L.parse_spec(spec)
+    x1 = L.find_x1(model)
+    zoom = x1 * (1.0 + np.linspace(-1e-9, 1e-9, 120))
+    if model.support == "half-line":
+        grid = np.concatenate([np.geomspace(1e-6, 50.0, 120), zoom])
+        batched = S._shoot_modes(model, grid, 60)
+        single = [L.shoot_forward(model, x, 60).outcome for x in grid]
+    else:
+        eng = S._compact_engine(model, L.classify_tail(model))
+        lo, hi = -math.log1p(-1e-6), -math.log1p(-(1.0 - 1e-12))
+        grid = np.concatenate([np.geomspace(lo, hi, 120), -np.log1p(-zoom)])
+        H = np.vectorize(eng.hc, otypes=[float])
+        batched = S._forward_L_shoot(eng.A0, eng.s, H, grid, 60)
+        single = [_scalar_L_mode(eng.A0, eng.s, eng.hc, L1, 60) for L1 in grid]
+    assert list(batched) == single
+    assert len(set(single)) >= 2
+
+
+@pytest.mark.parametrize("spec", ["lomax:3", "exponential:1"])
+def test_halfline_oracle_runs_without_scalar_descent(spec, monkeypatch):
+    # each live count starts from the previous chain and goes straight to
+    # the Newton polish; no bounded scalar search is left on the half line
+    def refuse(*args, **kwargs):
+        raise AssertionError("the half-line oracle called minimize_scalar")
+
+    monkeypatch.setattr(S.optimize, "minimize_scalar", refuse)
+    model = L.parse_spec(spec)
+    seq = L.finite_horizon_optimize(model, 40)
+    assert seq.is_strictly_increasing()
+    assert np.max(np.abs(L.recurrence_residual(model, seq))) < 1e-12
+    x1 = solved(spec, 60).points[1]
+    assert abs(seq.points[1] - x1) / x1 < 1e-6
+
+
+@pytest.mark.parametrize("spec,k_max", [("lomax:3", 2000), ("lomax:2", 1200)])
+def test_power_law_seed_law_overflow_is_typed(spec, k_max):
+    with pytest.raises(L.ConvergenceError, match="seed law overflows at index"):
+        L.solve(L.parse_spec(spec), L.SolverConfig(k_max=k_max))
+
+
+def test_compact_oracle_reldev_reads_log_gaps():
+    # x1 rounds to the same float on both routes here; L1 does not
+    model = L.parse_spec("compactfast:0.1,0.1")
+    config = L.SolverConfig(k_max=60)
+    seq = L.solve(model, config)
+    oracle = L.finite_horizon_optimize(model, 40, config)
+    assert oracle.points[1] == seq.points[1]
+    want = abs(oracle.log_gaps[1] - seq.log_gaps[1]) / seq.log_gaps[1]
+    assert want > 0.0
+    assert seq.diagnostics["x1_oracle_reldev"] == want
+    assert seq.diagnostics["x1_oracle"] == oracle.points[1]

@@ -18,7 +18,10 @@ Three routes to the same object:
   (a Newton polish of the stationarity chain: on the unit interval after
   cyclic coordinate descent, on the half line for each live count in
   turn, warm-started from the previous count) and is used as an
-  independent cross-check on the other two.
+  independent cross-check on the other two.  The chain, its Jacobian
+  and the objective are evaluated over all slots as arrays, with libm
+  logs and exps so that they match the slot-by-slot forms bit for bit;
+  a polish step that no halving keeps ordered ends the polish.
 
 On the unit interval everything runs in the log-gap coordinate
 L = -log(1-x): interior points approach 1 doubly exponentially, so x
@@ -151,17 +154,20 @@ class ShootResult:
 # ---------------------------------------------------------------------------
 
 
-def _step(model: DensityModel, x_prev, x_cur):
-    """x_next = (G(x_cur) + G(x_prev))/p(x_cur) - x_cur, elementwise, and p(x_cur).
+def _step(model: DensityModel, g_prev, x_cur):
+    """x_next = (G(x_cur) + g_prev)/p(x_cur) - x_cur, elementwise, p(x_cur) and G(x_cur).
 
-    The one forward-step formula, for scalars and arrays alike.  Where p
-    is not positive and finite the step is undefined and x_next carries
-    whatever the division gave; callers classify that case first.
+    The one forward-step formula, for scalars and arrays alike.  g_prev
+    is G(x_prev): a caller stepping along an orbit carries it from the
+    step before.  Where p is not positive and finite the step is
+    undefined and x_next carries whatever the division gave; callers
+    classify that case first.
     """
     p = np.asarray(model.pdf(x_cur))
+    g = model.survival(x_cur)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x_next = (model.survival(x_cur) + model.survival(x_prev)) / p - x_cur
-    return x_next, p
+        x_next = (g + g_prev) / p - x_cur
+    return x_next, p, g
 
 
 def recurrence_step(model: DensityModel, x_prev: float, x_cur: float) -> float:
@@ -176,7 +182,7 @@ def recurrence_step(model: DensityModel, x_prev: float, x_cur: float) -> float:
         raise DomainError("need 0 <= x_prev < x_cur")
     if model.support == UNIT_INTERVAL and x_cur >= 1.0:
         raise DomainError("boundary already reached; the plan terminates here")
-    x_next, p = _step(model, x_prev, x_cur)
+    x_next, p, _ = _step(model, model.survival(x_prev), x_cur)
     if not (p > 0.0) or not math.isfinite(p):
         raise DomainError("pdf underflow at x_cur; recurrence step undefined")
     if not math.isfinite(x_next):
@@ -187,24 +193,25 @@ def recurrence_step(model: DensityModel, x_prev: float, x_cur: float) -> float:
 def _shoot_modes(model: DensityModel, x1s: np.ndarray, k_max: int) -> np.ndarray:
     """shoot_forward's outcome for every x1 in x1s on the half line, in one pass.
 
-    Each step advances all live lanes through _step at once and retires
+    Each step advances all live lanes through _step at once, carrying
+    each lane's G(x_cur) forward as the next step's G(x_prev), and retires
     a lane exactly where shoot_forward would end: NUMERIC_UNDERFLOW when
     the step is undefined or not finite, MONOTONICITY_VIOLATED when
     x_next <= x_cur.  Lanes still live after k_max - 1 steps survived.
     """
     modes = np.full(len(x1s), SURVIVED, dtype=object)
     live = np.arange(len(x1s))
-    x_prev, x_cur = np.zeros(len(x1s)), np.asarray(x1s, dtype=float)
+    g_prev, x_cur = model.survival(np.zeros(len(x1s))), np.asarray(x1s, dtype=float)
     for _ in range(1, k_max):
         if not live.size:
             break
-        x_next, p = _step(model, x_prev, x_cur)
+        x_next, p, g = _step(model, g_prev, x_cur)
         under = ~((p > 0.0) & np.isfinite(p) & np.isfinite(x_next))
         collapse = ~under & (x_next <= x_cur)
         modes[live[under]] = NUMERIC_UNDERFLOW
         modes[live[collapse]] = MONOTONICITY_VIOLATED
         keep = ~(under | collapse)
-        live, x_prev, x_cur = live[keep], x_cur[keep], x_next[keep]
+        live, g_prev, x_cur = live[keep], g[keep], x_next[keep]
     return modes
 
 
@@ -290,12 +297,13 @@ def recurrence_residual(model: DensityModel, seq: TurningSequence) -> np.ndarray
 class _Engine:
     """Per-model forms in the working coordinate u (x or L).
 
-    hc is the cumulative hazard as a function of u and Hp its derivative,
-    log_w the log of W_k = (x_k + x_{k+1}) h(x_k) - 1 written without
-    underflow, law the asymptotic seed position at continuous index t,
-    to_x the map back to positions.  dlog_w(u_k, u_{k+1}) gives
-    (log W_k, d/du_k, d/du_{k+1}) for the stationarity chain, or None
-    where W_k is too small.
+    hc is the cumulative hazard as a function of u, log_w the log of
+    W_k = (x_k + x_{k+1}) h(x_k) - 1 written without underflow, law the
+    asymptotic seed position at continuous index t, to_x the map back to
+    positions; these take floats.  The oracle's forms take arrays of
+    slots: H is hc and Hp its derivative, and dlog_w(u_k, u_{k+1}) gives
+    the rows (log W_k, d/du_k, d/du_{k+1}) of the stationarity chain,
+    NaN where W_k is too small.
     """
 
     name: str
@@ -305,12 +313,19 @@ class _Engine:
     log_w: Callable[[float, float], Optional[float]]
     to_x: Callable[[float], float]
     law: Callable[[float], float]
-    Hp: Callable[[float], float]
-    dlog_w: Callable[[float, float], Optional[tuple[float, float, float]]]
+    H: Callable[[np.ndarray], np.ndarray]
+    Hp: Callable[[np.ndarray], np.ndarray]
+    dlog_w: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _scalar(fn) -> Callable[[float], float]:
     return lambda t: float(fn(np.asarray(t, dtype=float)))
+
+
+def _each(fn) -> Callable[[np.ndarray], np.ndarray]:
+    """fn mapped over an array one float at a time, for forms written with
+    math: numpy's logs and exps can differ from libm's in the last bit."""
+    return lambda us: np.array([fn(u) for u in us], dtype=float)
 
 
 def _overflow_checked(model: DensityModel, law: Callable[[float], float]):
@@ -331,24 +346,26 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
     """Forms in x.  Power-law tails seed from the geometric Pareto orbit;
     the other classes from the tabulated index integral, which only a seed
     request builds, while the exact invert_index stays with predictions."""
-    h = _scalar(model._hazard)
-    H = _scalar(model._cum_hazard)
-    Hinv = _scalar(model._inv_cum_hazard)
+    h, H = model._hazard, model._cum_hazard
+    h_at = _scalar(h)
+    ln = _each(math.log)
 
     def log_w(xk, xk1):
-        w = (xk + xk1) * h(xk) - 1.0
+        w = (xk + xk1) * h_at(xk) - 1.0
         return math.log(w) if w > 1.0 else None
 
     def dlog_w(xk, xk1):
         hk = h(xk)
         w = (xk + xk1) * hk - 1.0
-        if not (w > 0.0 and xk > 0.0):
-            return None
+        out = np.full((3, len(xk)), math.nan)
+        ok = np.flatnonzero((w > 0.0) & (xk > 0.0))
+        x, s, hk, w = xk[ok], xk[ok] + xk1[ok], hk[ok], w[ok]
         # d log h/dx by a central difference: it only steers Newton, and
         # acceptance reads the exact residual, so 1e-6 relative is enough
-        e = 1e-6 * xk
-        dlog_h = (math.log(h(xk + e)) - math.log(h(xk - e))) / (2.0 * e)
-        return math.log(w), hk * (1.0 + (xk + xk1) * dlog_h) / w, hk / w
+        e = 1e-6 * x
+        dlog_h = (ln(h(x + e)) - ln(h(x - e))) / (2.0 * e)
+        out[:, ok] = ln(w), hk * (1.0 + s * dlog_h) / w, hk / w
+        return out
 
     if tail.kind == POWER_LAW:
         # geometric deep orbit; the dial absorbs the prefactor
@@ -359,7 +376,8 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
         law = asymptotics.tabulate_index(model)
 
     return _Engine(
-        model.spec_string(), "x", H, Hinv, log_w, lambda u: u, law, h, dlog_w
+        model.spec_string(), "x", _scalar(H), _scalar(model._inv_cum_hazard), log_w,
+        lambda u: u, law, H, h, dlog_w,
     )
 
 
@@ -444,15 +462,17 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Compac
             "compact power laws and for the compactfast hazard a/(1-x)^(1+b) only"
         )
 
-    dlog_w = lambda Lk, Lk1: _compact_log_w(A0, s, Lk, Lk1)
-
     def log_w(Lk, Lk1):
-        terms = dlog_w(Lk, Lk1)
+        terms = _compact_log_w(A0, s, Lk, Lk1)
         return None if terms is None else terms[0]
+
+    def dlog_w(Lk, Lk1):
+        rows = [_compact_log_w(A0, s, a, b) or (math.nan,) * 3 for a, b in zip(Lk, Lk1)]
+        return np.array(rows, dtype=float).reshape(-1, 3).T
 
     return _CompactEngine(
         model.spec_string(), "L", H, Hinv, log_w, lambda L: -math.expm1(-L), law,
-        Hp, dlog_w, A0, s, first_slot, next_slot,
+        _each(H), _each(Hp), dlog_w, A0, s, first_slot, next_slot,
     )
 
 
@@ -805,34 +825,30 @@ def _chain(eng: _Engine, us: np.ndarray, first: int):
     """The stationarity chain r_k = H(u_k) - H(u_{k-1}) - log W_k.
 
     us holds u_0..u_n in the engine's coordinate; the rows are slots
-    first..n-1.  Returns the residuals, the Jacobian's three bands (row
-    k: dr_k/du_{k-1}, dr_k/du_k, dr_k/du_{k+1}) and the scale
-    max(1, |H(u_k)|): the residual is a difference of numbers of size
-    ~H(u_k), so its float granularity, hence the attainable tolerance,
-    scales with it.  A row where log W_k is undefined is NaN.
+    first..n-1, each form evaluated once over them as an array.  Returns
+    the residuals, the Jacobian's three bands (row k: dr_k/du_{k-1},
+    dr_k/du_k, dr_k/du_{k+1}) and the scale max(1, |H(u_k)|): the
+    residual is a difference of numbers of size ~H(u_k), so its float
+    granularity, hence the attainable tolerance, scales with it.  A row
+    where log W_k is undefined is NaN.
     """
     n = len(us) - 1
-    res, lo, mid, hi = (np.full(n - first, math.nan) for _ in range(4))
-    scale = np.ones(n - first)
-    for i, k in enumerate(range(first, n)):
-        H_k = eng.hc(us[k])
-        scale[i] = max(1.0, abs(H_k))
-        terms = eng.dlog_w(us[k], us[k + 1])
-        if terms is None:
-            continue
-        lw, d_k, d_k1 = terms
-        res[i] = H_k - eng.hc(us[k - 1]) - lw
-        lo[i] = -eng.Hp(us[k - 1])
-        mid[i] = eng.Hp(us[k]) - d_k
-        hi[i] = -d_k1
-    return res, lo, mid, hi, scale
+    H, Hp = eng.H(us[first - 1 : n]), eng.Hp(us[first - 1 : n])
+    lw, d_k, d_k1 = eng.dlog_w(us[first:n], us[first + 1 :])
+    res = H[1:] - H[:-1] - lw
+    return res, -Hp[:-1], Hp[1:] - d_k, -d_k1, np.maximum(1.0, np.abs(H[1:]))
+
+
+_HALVINGS = 0.5 ** np.arange(40)  # the polish's trial step lengths, longest first
 
 
 def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
     """Banded Newton on the stationarity chain over slots first..n-1, in place.
 
-    A step is halved until the slots stay strictly ordered between
-    u_{first-1} and u_n.  Raises ConvergenceError when a row leaves the
+    Each step takes the longest of 1, 1/2, .., 2**-39 times the Newton
+    step that keeps the slots strictly ordered between u_{first-1} and
+    u_n; all 40 trials are tested in one array pass.  Raises
+    ConvergenceError when no trial is ordered, when a row leaves the
     domain of log W, or when 60 steps do not bring every residual under
     1e-12 of its scale.
     """
@@ -855,31 +871,33 @@ def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
             step = solve_banded((1, 1), ab, -res)
         except ValueError:  # singular (LinAlgError) or non-finite bands
             break
-        alpha = 1.0
-        for _ in range(40):
-            trial = us[first:n] + alpha * step
-            if np.all(np.diff(np.concatenate([[us[first - 1]], trial, [us[n]]])) > 0):
-                break
-            alpha *= 0.5
-        us[first:n] += alpha * step
+        trials = us[first:n] + _HALVINGS[:, None] * step
+        ordered = (
+            (trials[:, 0] > us[first - 1])
+            & np.all(trials[:, 1:] > trials[:, :-1], axis=1)
+            & (trials[:, -1] < us[n])
+        )
+        if not ordered.any():
+            raise ConvergenceError(
+                "stationarity-chain Newton found no step that keeps the slots ordered",
+                last_iterate=us,
+            )
+        us[first:n] += _HALVINGS[ordered.argmax()] * step
     raise ConvergenceError(
         "stationarity-chain Newton did not converge on the horizon", last_iterate=us
     )
 
 
-def _survival(eng: _Engine, u: float) -> float:
-    v = eng.hc(u)
+def _g(v: float) -> float:
+    """Survival exp(-v) at cumulative hazard v, 0 past 700."""
     return math.exp(-v) if v < 700 else 0.0
 
 
 def _objective(eng: _Engine, us: np.ndarray) -> float:
-    """The truncated objective sum_{k=1..n} x_k (G_k + G_{k-1})."""
-    tot, g_prev = 0.0, _survival(eng, us[0])
-    for u in us[1:]:
-        g = _survival(eng, u)
-        tot += eng.to_x(u) * (g + g_prev)
-        g_prev = g
-    return tot
+    """The truncated objective sum_{k=1..n} x_k (G_k + G_{k-1}), summed left to right."""
+    g = _each(_g)(eng.H(us))
+    terms = _each(eng.to_x)(us[1:]) * (g[1:] + g[:-1])
+    return float(np.cumsum(terms)[-1])
 
 
 def _descend(eng: _Engine, us: np.ndarray, slots) -> bool:
@@ -890,7 +908,7 @@ def _descend(eng: _Engine, us: np.ndarray, slots) -> bool:
     boundary) searches up to 60 past its current value.  Returns whether
     a sweep gained less than 1e-12 within _MAX_SWEEPS.
     """
-    G = lambda u: _survival(eng, u)
+    G = lambda u: _g(eng.hc(u))
     prev = _objective(eng, us)
     for _ in range(_MAX_SWEEPS):
         for k in slots:

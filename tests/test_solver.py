@@ -432,3 +432,95 @@ def test_compact_oracle_reldev_reads_log_gaps():
     assert want > 0.0
     assert seq.diagnostics["x1_oracle_reldev"] == want
     assert seq.diagnostics["x1_oracle"] == oracle.points[1]
+
+
+# finite_horizon_optimize(model, 40) at the commit before the array chain,
+# as (float.hex of x1, live count) per survival cap; the array chain and
+# the fail-fast polish must reproduce these to the last bit
+ORACLE_PINNED = {
+    ("exponential:1", None): ("0x1.5a6a5a05d4bbap+0", 8),
+    ("exponential:1", 1e-20): ("0x1.5a6a5a2d93417p+0", 12),
+    ("lognormal:1", None): ("0x1.e85692820e18ap+0", 10),
+    ("lognormal:1", 1e-20): ("0x1.e8568ed20a3c0p+0", 19),
+    ("lomax:3", None): ("0x1.d3a788a48b01cp-2", 12),
+    ("lomax:3", 1e-20): ("0x1.d3a795c7cc659p-2", 23),
+}
+
+
+@pytest.mark.parametrize("spec,cap", sorted(ORACLE_PINNED, key=str))
+def test_halfline_oracle_is_bitwise_pinned(spec, cap):
+    config = L.SolverConfig() if cap is None else L.SolverConfig(cap_survival=cap)
+    seq = L.finite_horizon_optimize(L.parse_spec(spec), 40, config)
+    assert (seq.points[1].hex(), len(seq.points) - 1) == ORACLE_PINNED[spec, cap]
+
+
+def _scalar_chain(model, xs):
+    # the per-slot half-line chain: hazard and cumulative hazard one float
+    # at a time, logs through math; None where log W_k is undefined
+    h = lambda x: float(model._hazard(np.asarray(x, dtype=float)))
+    H = lambda x: float(model._cum_hazard(np.asarray(x, dtype=float)))
+    rows = []
+    for k in range(1, len(xs) - 1):
+        hk = h(xs[k])
+        w = (xs[k] + xs[k + 1]) * hk - 1.0
+        if not (w > 0.0 and xs[k] > 0.0):
+            rows.append(None)
+            continue
+        e = 1e-6 * xs[k]
+        dlog_h = (math.log(h(xs[k] + e)) - math.log(h(xs[k] - e))) / (2.0 * e)
+        H_k = H(xs[k])
+        rows.append((
+            (H_k - H(xs[k - 1]) - math.log(w)) / max(1.0, abs(H_k)),
+            -h(xs[k - 1]),
+            h(xs[k]) - hk * (1.0 + (xs[k] + xs[k + 1]) * dlog_h) / w,
+            -hk / w,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["exponential:1", "stretchedexp:1,1", "gumbel:1", "logboundary:2",
+     "lognormal:1", "lognormal:3", "lomax:3"],
+)
+def test_array_chain_matches_scalar_chain(spec):
+    # the solved sequence, and a copy whose first slots are squeezed toward
+    # the origin so that W_k <= 0 there and those rows are undefined
+    model = L.parse_spec(spec)
+    seq = solved(spec, 200)
+    squeezed = seq.points.copy()
+    squeezed[1:4] *= 1e-3
+    eng = S._engine_for(model, L.classify_tail(model))
+    for xs in (seq.points, squeezed):
+        want = _scalar_chain(model, xs)
+        got = L.recurrence_residual(model, L.TurningSequence(xs, False, spec))
+        res, lo, mid, hi, scale = S._chain(eng, xs, 1)
+        assert [None if r is None else r[0].hex() for r in want] == [
+            None if math.isnan(r) else r.hex() for r in got
+        ]
+        for i, row in enumerate(want):
+            if row is not None:
+                assert row[1:] == (lo[i], mid[i], hi[i])
+    assert any(r is None for r in _scalar_chain(model, squeezed))
+
+
+@pytest.mark.parametrize("spec", ["exponential:1", "gumbel:1", "logboundary:2"])
+def test_polish_stops_at_its_first_unorderable_step(spec, monkeypatch):
+    # the last live count's polish has no ordered step on these tails; it
+    # must give up there rather than apply an unchecked step and run on
+    calls, chains = [0], []
+    chain, polish = S._chain, S._polish
+
+    def counted_chain(*args):
+        calls[0] += 1
+        return chain(*args)
+
+    def recorded_polish(eng, us, first):
+        polish(eng, us, first)
+        chains.append(us.copy())
+
+    monkeypatch.setattr(S, "_chain", counted_chain)
+    monkeypatch.setattr(S, "_polish", recorded_polish)
+    L.finite_horizon_optimize(L.parse_spec(spec), 40)
+    assert calls[0] < 60
+    assert chains and all(np.all(np.diff(us) > 0.0) for us in chains)

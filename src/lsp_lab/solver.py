@@ -15,13 +15,12 @@ Three routes to the same object:
   law; the landing residual at the origin pins the dial.  This reaches
   any horizon the float format can express.
 - finite_horizon_optimize minimizes the truncated objective directly
-  (a Newton polish of the stationarity chain: on the unit interval after
-  cyclic coordinate descent, on the half line for each live count in
-  turn, warm-started from the previous count) and is used as an
-  independent cross-check on the other two.  The chain, its Jacobian
-  and the objective are evaluated over all slots as arrays, with libm
-  logs and exps so that they match the slot-by-slot forms bit for bit;
-  a polish step that no halving keeps ordered ends the polish.
+  (a Newton polish of the stationarity chain for each live count in
+  turn, warm-started from the previous count, on both supports) and is
+  used as an independent cross-check on the other two.  The chain, its
+  Jacobian and the objective are evaluated over all slots as arrays,
+  with libm logs and exps so that they match the slot-by-slot forms bit
+  for bit; a polish step that no halving keeps ordered ends the polish.
 
 On the unit interval everything runs in the log-gap coordinate
 L = -log(1-x): interior points approach 1 doubly exponentially, so x
@@ -68,7 +67,6 @@ NUMERIC_UNDERFLOW = "NumericUnderflow"
 
 _BISECTION_TOL = 1e-12  # relative bracket width at which find_x1 stops
 _HORIZON_N = 40  # oracle horizon for solve's x1 cross-check
-_MAX_SWEEPS = 400  # cap on the compact oracle's coordinate-descent sweeps
 
 
 @dataclass
@@ -303,7 +301,8 @@ class _Engine:
     positions; these take floats.  The oracle's forms take arrays of
     slots: H is hc and Hp its derivative, and dlog_w(u_k, u_{k+1}) gives
     the rows (log W_k, d/du_k, d/du_{k+1}) of the stationarity chain,
-    NaN where W_k is too small.
+    NaN where W_k is too small.  next_slot(k, u_prev, u_n) places the
+    oracle's slot k after slot k-1 at u_prev, below the terminal slot u_n.
     """
 
     name: str
@@ -316,6 +315,7 @@ class _Engine:
     H: Callable[[np.ndarray], np.ndarray]
     Hp: Callable[[np.ndarray], np.ndarray]
     dlog_w: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    next_slot: Callable[[int, float, float], float]
 
 
 def _scalar(fn) -> Callable[[float], float]:
@@ -347,7 +347,7 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
     the other classes from the tabulated index integral, which only a seed
     request builds, while the exact invert_index stays with predictions."""
     h, H = model._hazard, model._cum_hazard
-    h_at = _scalar(h)
+    h_at, hc, hc_inv = _scalar(h), _scalar(H), _scalar(model._inv_cum_hazard)
     ln = _each(math.log)
 
     def log_w(xk, xk1):
@@ -375,9 +375,13 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
         # the dial absorbs the table's offset from the exact law
         law = asymptotics.tabulate_index(model)
 
+    def next_slot(k, u_prev, u_n):
+        # the H-midpoint of the previous slot and the cap
+        return hc_inv(0.5 * (hc(u_prev) + hc(u_n)))
+
     return _Engine(
-        model.spec_string(), "x", _scalar(H), _scalar(model._inv_cum_hazard), log_w,
-        lambda u: u, law, H, h, dlog_w,
+        model.spec_string(), "x", hc, hc_inv, log_w, lambda u: u, law, H, h, dlog_w,
+        next_slot,
     )
 
 
@@ -407,17 +411,14 @@ def _compact_log_w(A0: float, s: float, Lk: float, Lk1: float):
 
 @dataclass
 class _CompactEngine(_Engine):
-    """An engine in L that also carries the log-gap forms and seed slots.
+    """An engine in L that also carries the log-gap forms.
 
-    A0 and s give W_k through _compact_log_w; first_slot and next_slot
-    give the oracle's slot k from slot k-1, before its descent and past
-    its live prefix.
+    A0 and s give W_k through _compact_log_w.  next_slot ignores u_n,
+    which is the boundary L = inf.
     """
 
     A0: float
     s: float
-    first_slot: Callable[[int, float], float]
-    next_slot: Callable[[int, float], float]
 
 
 def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _CompactEngine:
@@ -431,8 +432,7 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Compac
         Hinv = lambda v: v / c
 
         law = _overflow_checked(model, lambda t: max(1e-9, r**t - math.log(2.0 * c)))
-        first_slot = lambda k, L_prev: max(1.2 * r**k - math.log(2 * c), 0.05 * k)
-        next_slot = lambda k, L_prev: (c * L_prev + math.log(2 * c)) / (c - 1.0)
+        next_slot = lambda k, L_prev, L_n: (c * L_prev + math.log(2 * c)) / (c - 1.0)
     elif tail.kind == COMPACT_RV and model.rv_params is not None:
         a, b = model.rv_params
         A0, s = a, 1.0 + b
@@ -455,7 +455,7 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Compac
                 L = Ln
             return Ln
 
-        first_slot = next_slot = lambda k, L_prev: max(law(float(k)), L_prev + 0.01)
+        next_slot = lambda k, L_prev, L_n: max(law(float(k)), L_prev + 0.01)
     else:
         raise NotApplicableError(
             f"no log-gap forms for {model.spec_string()}: the solver has them for "
@@ -472,7 +472,7 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Compac
 
     return _CompactEngine(
         model.spec_string(), "L", H, Hinv, log_w, lambda L: -math.expm1(-L), law,
-        _each(H), _each(Hp), dlog_w, A0, s, first_slot, next_slot,
+        _each(H), _each(Hp), dlog_w, next_slot, A0, s,
     )
 
 
@@ -755,15 +755,14 @@ def _scan_bisect(modes, grid, below, above, survived, tol, one_sided, unbrackete
 
 def _find_x1_compact(model, tail, config) -> float:
     eng = _compact_engine(model, tail)
-    # the engine's own scalar H per lane: the labels near the flip depend
-    # on its last bits
-    H = np.vectorize(eng.hc, otypes=[float])
     lo_x, hi_x = config.x1_bracket
     lo = -math.log1p(-min(lo_x, 1.0 - 1e-12))
     hi = -math.log1p(-min(hi_x, 1.0 - 1e-12))
     k_cap = min(config.k_max, 60)
     L1 = _scan_bisect(
-        lambda L1s: _forward_L_shoot(eng.A0, eng.s, H, L1s, k_cap),
+        # the engine's own scalar H per lane: the labels near the flip
+        # depend on its last bits
+        lambda L1s: _forward_L_shoot(eng.A0, eng.s, eng.H, L1s, k_cap),
         np.geomspace(lo, hi, 120), "collapse", "boundary", "survived",
         _BISECTION_TOL,
         NonMonotonePredicateError(
@@ -900,97 +899,58 @@ def _objective(eng: _Engine, us: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _descend(eng: _Engine, us: np.ndarray, slots) -> bool:
-    """Cyclic coordinate descent on the truncated objective, in place.
-
-    Each sweep minimises over one slot at a time, in the order of slots,
-    between its neighbours; a slot next to u_n = inf (the unit interval's
-    boundary) searches up to 60 past its current value.  Returns whether
-    a sweep gained less than 1e-12 within _MAX_SWEEPS.
-    """
-    G = lambda u: _g(eng.hc(u))
-    prev = _objective(eng, us)
-    for _ in range(_MAX_SWEEPS):
-        for k in slots:
-            g_prev, x_next = G(us[k - 1]), eng.to_x(us[k + 1])
-            ub = us[k + 1] if math.isfinite(us[k + 1]) else us[k] + 60.0
-            us[k] = optimize.minimize_scalar(
-                lambda u: eng.to_x(u) * (G(u) + g_prev) + x_next * G(u),
-                bounds=(us[k - 1], ub),
-                method="bounded",
-                options={"xatol": 1e-12},
-            ).x
-        cur = _objective(eng, us)
-        if prev - cur < 1e-12:
-            return True
-        prev = cur
-    return False
-
-
-def _oracle_halfline(model, n, tail, config) -> TurningSequence:
+def _oracle(model, n, tail, config) -> TurningSequence:
     """Scan the live count m = 1..n for the lowest-objective certified chain.
 
-    A slot parked at the origin adds nothing to the objective, so the
-    n-slot optimum is the best chain with every slot live.  m = 1 is
-    [0, x_n], with no interior slot, and is always certified.  Chain m
-    continues from the best chain on m - 1 slots: one slot is added at
-    the H-midpoint of its last interior slot and the cap (for m = 2,
-    equal-H spacing), and the Newton polish takes it from there.  The
-    scan stops at the first m whose polish fails, raises the objective
-    of its start, or does not lower the best objective.
+    The terminal slot u_n is the survival cap on the half line and the
+    boundary L = inf on the unit interval.  m = 1 is [0, u_n], with no
+    interior slot, and is always certified.  Chain m continues from the
+    best chain on m - 1 slots: the engine's next_slot adds one slot after
+    its last interior slot, and the Newton polish takes it from there.
+    The scan stops at the first m whose polish fails, raises the
+    objective of its start, or does not lower the best objective.
+
+    A slot parked at the origin adds nothing to the objective, so on the
+    half line the n-slot optimum is the best chain with every slot live;
+    the surplus is stripped and counted.  On the unit interval the slots
+    past the scan's stop are objective-flat at float64: next_slot places
+    them, and one polish certifies all n + 1 points.
     """
-    eng = _halfline_engine(model, tail)
-    H, Hinv = eng.hc, eng.hc_inv
-    x_n = Hinv(-math.log(config.cap_survival))
-    best = np.array([0.0, x_n])
+    eng = _engine_for(model, tail)
+    halfline = model.support == HALF_LINE
+    u_n = eng.hc_inv(-math.log(config.cap_survival)) if halfline else math.inf
+    best = np.array([0.0, u_n])
     best_j = _objective(eng, best)
     for m in range(2, n + 1):
-        xs = np.insert(best, m - 1, Hinv(0.5 * (H(best[-2]) + H(x_n))))
-        j_start = _objective(eng, xs)
+        us = np.insert(best, m - 1, eng.next_slot(m - 1, best[-2], u_n))
+        j_start = _objective(eng, us)
         try:
-            _polish(eng, xs, 1)
+            _polish(eng, us, 1)
         except ConvergenceError:
             break
-        j = _objective(eng, xs)
+        j = _objective(eng, us)
         # The chain has spurious roots out in the power-law deep tail; a
         # polish that raises the objective of its start reached one of those.
         if j > j_start + 1e-9 * max(1.0, j_start) or j >= best_j:
             break
-        best, best_j = xs, j
-    return TurningSequence(
-        points=best,
-        terminated=False,
-        model_id=model.spec_string(),
-        diagnostics={"parked_slots": n + 1 - len(best)},
-    )
-
-
-def _oracle_compact(model, n, tail) -> TurningSequence:
-    eng = _compact_engine(model, tail)
-    Ls = np.zeros(n + 1)
-    Ls[n] = math.inf
-    for k in range(1, n):
-        Ls[k] = eng.first_slot(k, Ls[k - 1])
-
-    m_live = min(n - 1, 14)  # deeper slots are objective-flat at float64
-    # ascending sweep order 1 .. m_live (anchored at the origin end)
-    if not _descend(eng, Ls, range(1, m_live + 1)):
-        raise ConvergenceError(
-            f"coordinate descent did not converge in {_MAX_SWEEPS} sweeps",
-            last_iterate=Ls,
+        best, best_j = us, j
+    if halfline:
+        return TurningSequence(
+            points=best,
+            terminated=False,
+            model_id=model.spec_string(),
+            diagnostics={"parked_slots": n + 1 - len(best)},
         )
-    # re-anchor the objective-flat tail on the converged prefix
-    for k in range(m_live + 1, n):
-        Ls[k] = eng.next_slot(k, Ls[k - 1])
-    _polish(eng, Ls, 1)
-    pts = -np.expm1(-Ls)
+    for k in range(len(best) - 1, n):  # the objective-flat slots
+        best = np.insert(best, k, eng.next_slot(k, best[-2], u_n))
+    _polish(eng, best, 1)
     # the pinned boundary leg plus its implicit mirror complete coverage,
     # exactly the terminal G_{n-1} term in the truncated objective
     return TurningSequence(
-        points=pts,
+        points=-np.expm1(-best),
         terminated=True,
         model_id=model.spec_string(),
-        log_gaps=Ls,
+        log_gaps=best,
     )
 
 
@@ -1000,26 +960,26 @@ def finite_horizon_optimize(
     """Minimize the truncated objective over n turning points.
 
     Terminal condition: x_n = 1 on the unit interval, x_n at the
-    configured survival cap on the half line.  On the half line the
-    result is the lowest-objective polished chain over live counts
-    1..n; the n - live surplus slots park at the origin, are stripped
-    from the output and counted in diagnostics["parked_slots"].  The
-    result is always a polished stationarity chain, never an uncertified
-    iterate; the unit interval raises ConvergenceError where its polish
-    fails.  It is the standard of comparison for solve and find_x1, not
-    a fast path.
+    configured survival cap on the half line.  Both supports take the
+    lowest-objective polished chain over live counts 1..n.  On the half
+    line the n - live surplus slots park at the origin, are stripped
+    from the output and counted in diagnostics["parked_slots"]; the unit
+    interval returns all n + 1 points, its surplus slots placed past the
+    live ones and polished with them.  The result is always a polished
+    stationarity chain, never an uncertified iterate; the unit interval
+    raises ConvergenceError where its final polish fails.  It is the
+    standard of comparison for solve and find_x1, not a fast path.
     """
     config = config or SolverConfig()
     if n < 1:
         raise DomainError("horizon must be at least 1")
-    if model.support == UNIT_INTERVAL:
-        tail = classify_tail(model)
-        if tail.kind == COMPACT_TERMINATING:
-            return TurningSequence(
-                points=np.array([0.0, 1.0]),
-                terminated=True,
-                model_id=model.spec_string(),
-            )
-        return _oracle_compact(model, n, tail)
-    first_abs_moment(model)
-    return _oracle_halfline(model, n, classify_tail(model), config)
+    if model.support == HALF_LINE:
+        first_abs_moment(model)
+    tail = classify_tail(model)
+    if tail.kind == COMPACT_TERMINATING:
+        return TurningSequence(
+            points=np.array([0.0, 1.0]),
+            terminated=True,
+            model_id=model.spec_string(),
+        )
+    return _oracle(model, n, tail, config)

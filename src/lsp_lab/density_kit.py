@@ -217,12 +217,18 @@ def stretched_exp(a: float = 1.0, b: float = 1.0) -> DensityModel:
     if a <= 0 or b <= 0:
         raise DomainError("stretched-exponential parameters must be positive")
     p = 1.0 + b
+
+    def pdf(xs):
+        # past x^b overflow the survival is 0 and the formula reads inf * 0
+        h, s = a * np.power(xs, b), np.exp(-a * np.power(xs, p) / p)
+        return np.multiply(h, s, out=np.zeros_like(h), where=s > 0.0)
+
     return DensityModel(
         family="stretchedexp",
         params=(float(a), float(b)),
         param_names=("a", "b"),
         support=HALF_LINE,
-        _pdf=lambda x: a * np.power(x, b) * np.exp(-a * np.power(x, p) / p),
+        _pdf=pdf,
         _hazard=lambda x: a * np.power(x, b),
         _cum_hazard=lambda x: a * np.power(x, p) / p,
         _inv_cum_hazard=lambda v: np.power(p * v / a, 1.0 / p),

@@ -2,8 +2,9 @@
 
 The Monte-Carlo estimator is the one genuinely independent oracle in the
 package: it never touches the recurrence, only the strategy itself.  Its
-contract is bitwise reproducibility for a fixed seed (counter-based
-per-chunk substreams, fixed pairwise reduction order).
+contract is bitwise reproducibility for a fixed seed: one Philox per call,
+reset to a counter-based substream per chunk, one leg search over the
+non-decreasing points for both sides, fixed pairwise reduction order.
 """
 
 from __future__ import annotations
@@ -130,29 +131,25 @@ def objective_value(model: DensityModel, seq: TurningSequence) -> ObjectiveValue
 _CHUNK = 1 << 14
 
 
-def _mc_chunk(model, sides, csum, n_in_chunk, seed, chunk_index):
+def _mc_chunk(model, xs, base, n_in_chunk, gen, fresh, chunk_index):
     """Simulate one chunk; returns [sum T, sum T^2, n accepted, n rejected].
 
-    The generator is keyed by (seed, chunk index) alone, so the result
-    is a pure function of those.
+    gen restarts from fresh with counter word 2 = chunk_index, the state
+    Philox(key=seed).jumped(chunk_index) has.  Legs alternate sides, odd
+    legs negative; with xs non-decreasing, side neg's first leg reaching
+    y is i or i + 1 for i = searchsorted(xs, y), so one search serves both.
     """
-    g = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
-    u = g.random(n_in_chunk)
-    neg = g.random(n_in_chunk) < 0.5
+    fresh["state"]["counter"][2] = chunk_index
+    gen.bit_generator.state = fresh
+    u = gen.random(n_in_chunk)
+    neg = gen.random(n_in_chunk) < 0.5
     y = np.asarray(model.modulus_quantile(u))
-    T = np.full(n_in_chunk, np.nan)
-    for side, (sidx, sx) in enumerate(sides):
-        mask = neg == bool(side)
-        yy = y[mask]
-        j = np.searchsorted(sx, yy, side="left")
-        ok = j < len(sx)
-        leg = sidx[np.minimum(j, len(sx) - 1)]
-        base = np.where(leg > 0, csum[np.maximum(leg - 1, 0)], 0.0)
-        T[mask] = np.where(ok, base + yy, np.nan)
-    good = ~np.isnan(T)
-    return np.array(
-        [T[good].sum(), (T[good] ** 2).sum(), float(good.sum()), float((~good).sum())]
-    )
+    leg = np.searchsorted(xs, y, side="left")
+    leg += (leg ^ neg) & 1
+    ok = leg < len(xs)
+    T = base[leg[ok]] + y[ok]
+    n_ok = float(np.count_nonzero(ok))
+    return np.array([T.sum(), (T**2).sum(), n_ok, n_in_chunk - n_ok])
 
 
 def expected_search_time_mc(
@@ -166,29 +163,32 @@ def expected_search_time_mc(
 
     Samples a modulus and a side; the time is 2*(sum of earlier turning
     distances) + the final partial leg.  Targets beyond the sequence's
-    reach are rejected and counted.  A terminated sequence implicitly
-    mirrors its boundary leg so both sides are covered.  n_jobs is
-    accepted for compatibility and has no effect: the chunks run
-    serially, because a thread pool measured no faster.
+    reach, or on a side it never visits, are rejected and counted.  A
+    terminated sequence implicitly mirrors its boundary leg so both
+    sides are covered.  The leg search needs non-decreasing points
+    (saturated ties are fine), so a decreasing or NaN plan raises
+    DomainError.  One Philox generator is built per call and reset per
+    chunk.  n_jobs is accepted for compatibility and has no effect.
     """
     if n_samples < 2:
         raise DomainError("need at least 2 samples")
     xs = np.asarray(seq.points[1:], dtype=float)
     if xs.size == 0:
         raise DomainError("empty strategy")
+    if not np.all(np.diff(seq.points) >= 0.0):
+        raise DomainError("strategy points must be non-decreasing, with no NaN")
     if seq.terminated:
         xs = np.append(xs, xs[-1])
-    csum = 2.0 * np.cumsum(xs)
-    pos_idx = np.arange(0, len(xs), 2)
-    neg_idx = np.arange(1, len(xs), 2)
-    sides = ((pos_idx, xs[pos_idx]), (neg_idx, xs[neg_idx]))
+    base = np.concatenate(([0.0], 2.0 * np.cumsum(xs)))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    fresh = gen.bit_generator.state
 
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, n_samples - ci * _CHUNK) for ci in range(n_chunks)]
     # fixed-shape pairwise reduction: the tree depends only on the chunk
     # count, so the rounding depends only on (n_samples, seed)
     arr = [
-        _mc_chunk(model, sides, csum, sizes[ci], seed, ci) for ci in range(n_chunks)
+        _mc_chunk(model, xs, base, sizes[ci], gen, fresh, ci) for ci in range(n_chunks)
     ]
     while len(arr) > 1:
         nxt = [arr[i] + arr[i + 1] for i in range(0, len(arr) - 1, 2)]

@@ -76,6 +76,22 @@ def test_survival_pdf_hazard_consistency(spec):
             assert model.pdf(1.0) == (1.0 if spec == "uniform" else 0.0)
 
 
+@pytest.mark.parametrize("a,b", [(0.1, 3.0), (1.0, 5.0), (10.0, 3.0), (1.0, 1.0)])
+def test_stretched_exp_pdf_past_overflow(a, b):
+    # x^b overflows to inf where the survival is already 0: the density
+    # is 0 there, and the unmasked formula's value wherever that is finite
+    model = L.parse_spec(f"stretchedexp:{a},{b}")
+    xs = np.geomspace(1e-300, 1e300, 2001)
+    p = model.pdf(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = a * np.power(xs, b) * np.exp(-a * np.power(xs, 1.0 + b) / (1.0 + b))
+    fin = np.isfinite(plain)
+    assert np.array_equal(p[fin], plain[fin])
+    assert (~fin).any() == (b >= 3.0)  # the grid reaches the overflow
+    assert np.all(p[~fin] == 0.0)
+    assert model.pdf(1e300) == 0.0
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_inverse_cumulative_hazard(spec):
     model = L.parse_spec(spec)

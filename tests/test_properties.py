@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed as fixed_seed, settings, strategies as st
 from scipy import integrate
 
 from lsp_lab import asymptotics as A
@@ -174,6 +174,67 @@ def test_mc_is_deterministic(seed, n):
     assert a.mean == b.mean
     assert a.half_width_95 == b.half_width_95
     assert a.n_rejected == b.n_rejected
+
+
+def _per_side_chunk(model, xs, n, key, chunk_index):
+    """The Monte Carlo chunk as two per-side searches, one generator per chunk.
+
+    A transcription of the estimator's earlier chunk, kept as the
+    reference for the single search; a side with no leg rejects its
+    targets (the earlier loop raised IndexError there).
+    """
+    g = np.random.Generator(np.random.Philox(key=key).jumped(chunk_index))
+    u = g.random(n)
+    neg = g.random(n) < 0.5
+    y = np.asarray(model.modulus_quantile(u))
+    csum = 2.0 * np.cumsum(xs)
+    T = np.full(n, np.nan)
+    for side in (0, 1):
+        sidx = np.arange(side, len(xs), 2)
+        sx = xs[sidx]
+        mask = neg == bool(side)
+        if sx.size == 0:
+            continue
+        yy = y[mask]
+        j = np.searchsorted(sx, yy, side="left")
+        ok = j < len(sx)
+        leg = sidx[np.minimum(j, len(sx) - 1)]
+        base = np.where(leg > 0, csum[np.maximum(leg - 1, 0)], 0.0)
+        T[mask] = np.where(ok, base + yy, np.nan)
+    good = ~np.isnan(T)
+    return np.array(
+        [T[good].sum(), (T[good] ** 2).sum(), float(good.sum()), float((~good).sum())]
+    )
+
+
+@fixed_seed(20261019)
+@FAST
+@given(
+    spec=st.sampled_from(["exponential:1", "lomax:3", "triangular"]),
+    deltas=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 3.0)), min_size=1, max_size=12),
+    terminated=st.booleans(),
+    key=st.integers(0, 2**40),
+    chunks=st.lists(st.integers(0, 60), min_size=1, max_size=3),
+    n=st.integers(1, 3000),
+)
+def test_mc_chunk_matches_per_side_search(spec, deltas, terminated, key, chunks, n):
+    # random non-decreasing plans with ties, capped at 1.0 on the unit
+    # interval as saturated compact plans are; one generator is reset
+    # for each chunk in turn, as expected_search_time_mc does
+    model = dk.parse_spec(spec)
+    pts = np.concatenate([[0.0], np.cumsum(deltas)])
+    if model.support == "unit-interval":
+        pts = np.minimum(pts, 1.0)
+    xs = pts[1:]
+    if terminated:
+        xs = np.append(xs, xs[-1])
+    base = np.concatenate(([0.0], 2.0 * np.cumsum(xs)))
+    gen = np.random.Generator(np.random.Philox(key=key))
+    fresh = gen.bit_generator.state
+    for ci in chunks:
+        got = V._mc_chunk(model, xs, base, n, gen, fresh, ci)
+        want = _per_side_chunk(model, xs, n, key, ci)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 # ---------------------------------------------------------------------------

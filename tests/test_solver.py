@@ -365,6 +365,28 @@ def test_find_x1_is_bitwise_pinned(spec, want):
     assert got.hex() == want
 
 
+@pytest.mark.parametrize("a", [0.1, 1, 10])
+@pytest.mark.parametrize("b", [3, 5])
+def test_stretched_exp_steep_hazards_solve_certified(a, b):
+    # x^b overflows inside find_x1's shots; the pdf must read 0 there,
+    # not inf * 0 (every warning is a test error)
+    model = L.parse_spec(f"stretchedexp:{a},{b}")
+    seq = L.solve(model)
+    assert not [k for k in seq.diagnostics if k.endswith("_error")]
+    assert seq.diagnostics["x1_bisection_reldev"] <= 1e-12
+    assert seq.diagnostics["x1_oracle_reldev"] <= 1e-8
+    assert np.max(np.abs(L.recurrence_residual(model, seq))) <= 1e-12
+
+
+def test_stretched_exp_masked_pdf_leaves_answers_bitwise():
+    # stretchedexp:1,1 before the pdf's masked product, as float.hex
+    model = L.parse_spec("stretchedexp:1,1")
+    config = L.SolverConfig(k_max=200)
+    assert L.find_x1(model, config).hex() == "0x1.19648446fca63p+1"
+    pts = L.solve(model, config).points
+    assert (pts[1].hex(), pts[-1].hex()) == ("0x1.19648446fcce5p+1", "0x1.b7c914979fe01p+5")
+
+
 def _scalar_L_mode(A0, s, H, L1, k_max):
     # the per-point log-gap recurrence, one float at a time
     L_prev, L_cur = 0.0, L1

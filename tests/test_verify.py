@@ -12,6 +12,8 @@ from lsp_lab import verify as V
 from lsp_lab.density_kit import classify_tail
 from lsp_lab.errors import DomainError, WindowError
 
+from conftest import solved
+
 
 # ---------------------------------------------------------------------------
 # objective value and tail bound
@@ -137,6 +139,55 @@ def test_mc_needs_samples(seq_exp210):
     model = dk.parse_spec("exponential:1")
     with pytest.raises(DomainError):
         V.expected_search_time_mc(model, seq_exp210, 1, seed=0)
+
+
+def test_mc_one_leg_plan_rejects_the_uncovered_side():
+    # the plan never turns, so every negative target and the positive
+    # ones past 1 are rejected: (1 + e^-1)/2 of them
+    model = dk.parse_spec("exponential:1")
+    seq = L.TurningSequence(
+        points=np.array([0.0, 1.0]), terminated=False, model_id="exponential:1"
+    )
+    est = V.expected_search_time_mc(model, seq, 100_000, seed=5)
+    assert est.rejection_rate == pytest.approx(0.5 + 0.5 * math.exp(-1.0), abs=5e-3)
+    assert 0.0 < est.mean < 1.0
+
+
+@pytest.mark.parametrize(
+    "points", [[0.0, 2.0, 1.0], [0.0, 1.0, math.nan, 3.0], [0.0, math.nan], [0.0, -1.0, 2.0]]
+)
+def test_mc_refuses_decreasing_or_nan_plans(points):
+    model = dk.parse_spec("exponential:1")
+    seq = L.TurningSequence(
+        points=np.array(points), terminated=False, model_id="exponential:1"
+    )
+    with pytest.raises(DomainError, match="non-decreasing"):
+        V.expected_search_time_mc(model, seq, 1000, seed=0)
+
+
+# (spec, k_max, seed) -> float.hex of mean and half width, and n_rejected,
+# recorded before the one-search chunk; k_max None is the plan [0, 1, 2].
+# n = 100_003 leaves the last chunk partial.
+MC_PINNED = {
+    ("exponential:1", 210, 7): ("0x1.f795bf1d0271cp+1", "0x1.e632eefa55d9ep-6", 0),
+    ("triangular", 60, 11): ("0x1.2fb117cf36f96p+0", "0x1.96e7b2ebdd248p-8", 0),
+    ("compactpower:2.5", 60, 13): ("0x1.0a12e2be1fffdp+0", "0x1.7b2be142eec25p-8", 0),
+    ("uniform", 200, 17): ("0x1.7f61bbc359effp+0", "0x1.a695456eea78fp-8", 0),
+    ("exponential:1", None, 3): ("0x1.bacac5083b941p+0", "0x1.1ac61482eacbcp-7", 25033),
+}
+
+
+@pytest.mark.parametrize("spec,k_max,seed", sorted(MC_PINNED, key=str))
+def test_mc_is_bitwise_pinned(spec, k_max, seed):
+    model = dk.parse_spec(spec)
+    if k_max is None:
+        seq = L.TurningSequence(points=np.array([0.0, 1.0, 2.0]), terminated=False,
+                                model_id=spec)
+    else:
+        seq = solved(spec, k_max)
+    est = V.expected_search_time_mc(model, seq, 100_003, seed=seed)
+    got = (est.mean.hex(), est.half_width_95.hex(), est.n_rejected)
+    assert got == MC_PINNED[spec, k_max, seed]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ Three routes to the same object:
 - solve integrates the recurrence in reverse from deep-tail asymptotic
   seeds, where the same instability works for us: contraction toward the
   true orbit.  A one-parameter dial shifts the seed along the asymptotic
-  law; the landing residual at the origin pins the dial.  This reaches
-  any horizon the float format can express.
+  law; landing at the origin pins it loosely, and a Newton polish of the
+  whole chain certifies the orbit, to any horizon floats can express.
 - finite_horizon_optimize minimizes the truncated objective directly
   (a Newton polish of the stationarity chain for each live count in
   turn, warm-started from the previous count, on both supports) and is
@@ -514,24 +514,30 @@ def _orbit(eng: _Engine, uK: float, uK1: float, K: int):
 _LOW = -1.0e6  # sentinel: orbit died or stalled, dial is below the root
 
 
-def _solve_reverse(eng: _Engine, k_max: int, pad: int) -> np.ndarray:
-    """Find the dial value where the reverse orbit lands at the origin.
+def _solve_reverse(eng: _Engine, k_max: int, pad: int, xtol: float) -> np.ndarray:
+    """The reverse orbit that lands at the origin, polished: u_0..u_{k_max}.
 
     The landing residual along the dial is a narrow valley (negative,
-    crossing zero at the root) surrounded by sentinel/stall regions;
-    the march brackets the crossing, a bisection walks the bracket's low
-    end onto the continuous branch, and brentq finishes.
+    crossing zero at the root) surrounded by sentinel/stall regions.  The
+    march brackets the crossing and a bisection walks the low end onto the
+    continuous branch, or refuses a low end that stays where orbits die.
+    brentq narrows the dial to xtol; the completed orbit landing nearest,
+    u_{K+1} held, starts a banded Newton polish of slots 1..K.  Every row,
+    the landing row k = 1 included, ends within 1e-12 of its scale.
     """
     K = k_max + pad
+    orbits = {}  # dial -> (resid, orbit); brentq re-asks for the bracket ends
 
     def resid(th):
-        v, j, us, lw1, lw2 = _orbit(eng, eng.law(K + th), eng.law(K + 1 + th), K)
-        if v is None:
-            return _LOW - j
-        if v > 0 and (eng.hc_inv(v) >= us[1] or (lw2 is not None and lw1 < 0.2 * lw2)):
-            # completed, but the final step stalled: still below the root
-            return _LOW - 1.0
-        return v
+        if th not in orbits:
+            v, j, us, lw1, lw2 = _orbit(eng, eng.law(K + th), eng.law(K + 1 + th), K)
+            if v is None:
+                v = _LOW - j
+            elif v > 0 and (eng.hc_inv(v) >= us[1] or (lw2 is not None and lw1 < 0.2 * lw2)):
+                # completed, but the final step stalled: still below the root
+                v = _LOW - 1.0
+            orbits[th] = v, us
+        return orbits[th][0]
 
     th = 0.0
     r = resid(th)
@@ -564,9 +570,9 @@ def _solve_reverse(eng: _Engine, k_max: int, pad: int) -> np.ndarray:
         lo, rlo = th, r
     # pull the low end off the sentinel plateau onto the genuine branch
     while rlo <= _LOW:
-        mid = 0.5 * (lo + hi)
         if hi - lo < 1e-13:
-            break
+            raise ConvergenceError(f"{eng.name}: orbits die at dial {hi:.6g} before landing")
+        mid = 0.5 * (lo + hi)
         rm = resid(mid)
         guard += 1
         if rm >= 0:
@@ -575,34 +581,33 @@ def _solve_reverse(eng: _Engine, k_max: int, pad: int) -> np.ndarray:
             lo, rlo = mid, rm
         if guard > 900:
             raise ConvergenceError(f"{eng.name}: bracket refinement failed")
-    ths = optimize.brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    out = _orbit(eng, eng.law(K + ths), eng.law(K + 1 + ths), K)
-    if out[0] is None:
-        for eps in (1e-14, 1e-13, 1e-12, 1e-11):
-            out = _orbit(eng, eng.law(K + ths + eps), eng.law(K + 1 + ths + eps), K)
-            if out[0] is not None:
-                break
-    v, _, us, _, _ = out
-    if v is None:
-        raise ConvergenceError(f"{eng.name}: landing refinement failed")
+    ths = optimize.brentq(resid, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=300)
+    v, us = min((e for e in orbits.values() if e[0] > _LOW), key=lambda e: abs(e[0]))
     log.debug("%s: dial=%.6f landing=%.3e", eng.name, ths, v)
-    us = us[: k_max + 1].copy()
-    us[0] = 0.0
-    return us
+    try:
+        _polish(eng, us, 1)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{eng.name}: reverse orbit not certified: {exc}") from None
+    return us[: k_max + 1].copy()
 
 
 _PAD_POWER_LAW = 14
 _PAD_DEFAULT = 10
+# brentq's dial tolerance; a loose one moves a power law's far end past its pad
+_XTOL_POWER_LAW = 1e-15
+_XTOL_DEFAULT = 1e-4
 
 
 def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> TurningSequence:
     """Optimal turning points out to config.k_max.
 
     Terminating targets return [0, 1] directly.  Everything else goes
-    through the reverse-shooting engine, then x1 is cross-checked
+    through the reverse-shooting engine, a dial landed loosely (tightly on
+    power laws) and a Newton polish of the whole chain: every
+    recurrence_residual row is under 1e-12, or ConvergenceError, also for a
+    dial bracket that ends where orbits die.  x1 is then cross-checked
     against find_x1 and the finite-horizon optimizer; disagreement is
-    logged and recorded in the sequence diagnostics, never ignored
-    silently.
+    logged and recorded in the sequence diagnostics.
     """
     config = config or SolverConfig()
     if model.support == HALF_LINE:
@@ -617,21 +622,16 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
         )
 
     eng = _engine_for(model, tail)
-    pad = _PAD_POWER_LAW if tail.kind == POWER_LAW else _PAD_DEFAULT
-    us = _solve_reverse(eng, config.k_max, pad)
-
-    if eng.coord == "L":
-        points = -np.expm1(-us)
-        seq = TurningSequence(
-            points=points,
-            terminated=False,
-            model_id=model.spec_string(),
-            log_gaps=us,
-        )
-    else:
-        seq = TurningSequence(
-            points=us, terminated=False, model_id=model.spec_string()
-        )
+    power = tail.kind == POWER_LAW
+    pad, xtol = (_PAD_POWER_LAW, _XTOL_POWER_LAW) if power else (_PAD_DEFAULT, _XTOL_DEFAULT)
+    us = _solve_reverse(eng, config.k_max, pad, xtol)
+    in_L = eng.coord == "L"
+    seq = TurningSequence(
+        points=-np.expm1(-us) if in_L else us,
+        terminated=False,
+        model_id=model.spec_string(),
+        log_gaps=us if in_L else None,
+    )
 
     if config.cross_check:
         x1 = float(seq.points[1])

@@ -339,3 +339,11 @@ def test_power_law_seed_overflow_exits_not_converging(capsys):
     assert code == EXIT_NOT_CONVERGING
     assert out == ""
     assert "seed law overflows" in err
+
+
+def test_death_boundary_exits_not_converging(capsys):
+    code, out, err = run_cli(capsys, "solve", "--dist", "compactpower:1.25", "--k-max", "60")
+    assert code == EXIT_NOT_CONVERGING
+    assert out == ""
+    assert "orbits die at dial" in err
+    assert "Traceback" not in err

@@ -147,8 +147,14 @@ def test_interior_residuals_small():
     res = L.recurrence_residual(L.parse_spec("compactfast:0.1,0.1"),
                                 solved("compactfast:0.1,0.1", 60))
     assert np.all(np.isfinite(res)) and np.max(np.abs(res)) <= 1e-10
-    # and it refutes a wrong answer
-    res = L.recurrence_residual(L.parse_spec("compactpower:50"), solved("compactpower:50", 60))
+    # and it refutes a wrong answer: the certified compactpower:50 plan with
+    # L1 moved to 0.0074, the value a dial on the boundary where orbits die
+    # once gave it at k_max = 60
+    gaps = solved("compactpower:50", 20).log_gaps.copy()
+    gaps[1] = 0.0074
+    wrong = L.TurningSequence(points=-np.expm1(-gaps), terminated=False,
+                              model_id="compactpower:50", log_gaps=gaps)
+    res = L.recurrence_residual(L.parse_spec("compactpower:50"), wrong)
     assert np.max(np.abs(res)) > 1e-3
 
 
@@ -310,6 +316,67 @@ def test_compact_power_seed_law_overflow_is_typed():
         L.solve(L.parse_spec("compactpower:1.1"), L.SolverConfig(k_max=60))
 
 
+@pytest.mark.parametrize("spec", ["compactpower:1.25", "compactpower:50"])
+def test_death_boundary_dial_is_refused(spec):
+    # every orbit below the bracket's high end dies, so no two completed
+    # orbits change sign; a polish from there certified a wrong chain
+    # (compactpower:50: L1 = 0.0074, both routes 2.8 off)
+    with pytest.raises(L.ConvergenceError, match="orbits die at dial"):
+        L.solve(L.parse_spec(spec), L.SolverConfig(k_max=60))
+
+
+def test_death_boundary_refusal_leaves_genuine_brackets_standing():
+    # at k_max = 20 compactpower:50 still brackets a sign change
+    seq = L.solve(L.parse_spec("compactpower:50"), L.SolverConfig(k_max=20))
+    assert seq.log_gaps[1] == pytest.approx(0.027412239887765, rel=1e-12)
+    assert seq.diagnostics["x1_bisection_reldev"] <= 1e-12
+    assert seq.diagnostics["x1_oracle_reldev"] <= 1e-12
+
+
+def test_lognormal_5_is_certified_or_refused():
+    # it once exited 0 with a residual of 1.3e-7
+    model = L.parse_spec("lognormal:5")
+    try:
+        seq = L.solve(model, L.SolverConfig(k_max=60))
+    except L.ConvergenceError:
+        return
+    assert np.max(np.abs(L.recurrence_residual(model, seq))) <= 1e-12
+
+
+SOLVE_SEEDLAW = [("exponential:1", 200), ("stretchedexp:1,1", 200), ("gumbel:1", 200),
+                 ("logboundary:2", 200), ("lognormal:1", 20)]
+SOLVE_CROSSCHECK = [("lomax:2", 200), ("lomax:2.5", 200), ("lomax:3", 200), ("lomax:4", 200),
+                    ("lomax:6", 150), ("triangular", 60), ("compactpower:1.5", 60),
+                    ("compactpower:2.5", 60), ("compactpower:3", 60),
+                    ("compactfast:0.5,1", 120), ("compactfast:1,1", 160),
+                    ("compactfast:1,2", 100), ("compactfast:2,2", 100),
+                    ("compactfast:1,0.5", 120)]
+
+
+@pytest.mark.parametrize("spec,k_max", SOLVE_SEEDLAW)
+def test_loose_dial_orbit_budget(spec, k_max, monkeypatch):
+    # the dial lands to 1e-4 and the polish finishes: 16-22 orbits per solve
+    # when brentq pinned the dial to 1e-15
+    orbit, calls = S._orbit, []
+
+    def counted(*args):
+        calls.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(S, "_orbit", counted)
+    L.solve(L.parse_spec(spec), L.SolverConfig(k_max=k_max, cross_check=False))
+    assert 0 < len(calls) <= 13
+
+
+@pytest.mark.parametrize("spec,k_max", SOLVE_SEEDLAW + SOLVE_CROSSCHECK)
+def test_solve_answer_carries_its_certificate(spec, k_max):
+    # every stationarity row, the landing row k = 1 included
+    model = L.parse_spec(spec)
+    res = L.recurrence_residual(model, solved(spec, k_max))
+    assert res.shape == (k_max - 1,)
+    assert np.max(np.abs(res)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "spec,bracket,error",
     [
@@ -384,7 +451,10 @@ def test_stretched_exp_masked_pdf_leaves_answers_bitwise():
     config = L.SolverConfig(k_max=200)
     assert L.find_x1(model, config).hex() == "0x1.19648446fca63p+1"
     pts = L.solve(model, config).points
-    assert (pts[1].hex(), pts[-1].hex()) == ("0x1.19648446fcce5p+1", "0x1.b7c914979fe01p+5")
+    # solve's polished chain; the tight-dial orbit gave the second pair
+    assert (pts[1].hex(), pts[-1].hex()) == ("0x1.19648446fc963p+1", "0x1.b7c914979fdfap+5")
+    old = (float.fromhex("0x1.19648446fcce5p+1"), float.fromhex("0x1.b7c914979fe01p+5"))
+    assert (pts[1], pts[-1]) == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
 def _scalar_L_mode(A0, s, H, L1, k_max):
@@ -452,7 +522,7 @@ def test_power_law_seed_law_overflow_is_typed(spec, k_max):
 def test_compact_oracle_reldev_reads_log_gaps():
     # x1 rounds to the same float on both routes here; L1 does not
     model = L.parse_spec("compactfast:0.1,0.1")
-    config = L.SolverConfig(k_max=60)
+    config = L.SolverConfig(k_max=80)
     seq = L.solve(model, config)
     oracle = L.finite_horizon_optimize(model, 40, config)
     assert oracle.points[1] == seq.points[1]

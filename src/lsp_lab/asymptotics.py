@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
 
+from ._numeric import brentq
 from .density_kit import (
     COMPACT_POWER_LAW,
     HALF_LINE,
@@ -146,8 +146,8 @@ def default_x_low(model: DensityModel) -> float:
             hi2 *= 2.0
             if hi2 > 1e15:
                 raise DomainError("could not locate the x_low level")
-        return optimize.brentq(g, 1e-12, hi2, xtol=1e-14, rtol=8.9e-16)
-    return optimize.brentq(f, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
+        return brentq(g, 1e-12, hi2, xtol=1e-14, rtol=8.9e-16)
+    return brentq(f, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def _index_integrand(model: DensityModel, x, log=np.log):
@@ -182,6 +182,7 @@ def index_integral(
             "integrand crosses the x*h = 1 singularity inside the range; "
             "choose a larger x_low"
         )
+    from scipy import integrate
     val, _ = integrate.quad(
         lambda u: _index_integrand(model, u, math.log), x_low, x, epsrel=1e-8, limit=300
     )
@@ -207,7 +208,7 @@ def invert_index(
         hi *= 2.0
     else:
         raise DomainError("could not bracket the index inversion")
-    return optimize.brentq(
+    return brentq(
         f, x_low * (1.0 + 1e-9), hi, xtol=1e-12, rtol=8.9e-16, maxiter=200
     )
 
@@ -289,7 +290,7 @@ def pareto_rate(a: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise DomainError("failed to bracket the growth-rate root")
-    return optimize.brentq(F, 1.0 + 1e-14, hi, xtol=1e-15, rtol=8.9e-16)
+    return brentq(F, 1.0 + 1e-14, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def compact_residual_law(c: float, k, A: float):

@@ -11,7 +11,7 @@ underflows.
 Supports are either the half line [0, inf) or the unit interval [0, 1].
 On the unit interval the natural deep coordinate is L = -log(1 - x).
 Each constructor states its family's facts once, on the model: tail
-class, closed-form position law and compact-rv hazard parameters.  The
+class, mean, closed-form position law and compact-rv hazard parameters.  The
 solver and the laws read those fields, never the family name.
 """
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
 
+from ._numeric import brentq
 from .errors import (
     ClassificationError,
     DomainError,
@@ -125,6 +125,8 @@ class DensityModel:
     rv_params: Optional[tuple[float, float]] = field(default=None, repr=False)
     # Closed-form first moment if the family has one; None means integrate.
     _moment: Optional[float] = field(default=None, repr=False)
+    # True when the mean is known finite without a closed form for it.
+    _finite_mean: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if not all(math.isfinite(p) for p in self.params):
@@ -234,6 +236,7 @@ def stretched_exp(a: float = 1.0, b: float = 1.0) -> DensityModel:
         _inv_cum_hazard=lambda v: np.power(p * v / a, 1.0 / p),
         tail=TailClass(SUPER_LOG, index=float(b)),
         closed_form=lambda k: ((1.0 + b) / a * k * math.log(k)) ** (1.0 / (1.0 + b)),
+        _finite_mean=True,
     )
 
 
@@ -264,6 +267,7 @@ def lognormal(sigma: float = 1.0) -> DensityModel:
     """
     if sigma <= 0:
         raise DomainError("lognormal sigma must be positive")
+    from scipy import special
     s = float(sigma)
 
     @_shaped
@@ -331,6 +335,7 @@ def gumbel_hazard(a: float = 1.0) -> DensityModel:
         _inv_cum_hazard=lambda v: np.log1p(a * v) / a,
         tail=TailClass(SUPER_LOG, rapid=True),
         closed_form=lambda k: math.log(k) / a,
+        _finite_mean=True,
     )
 
 
@@ -338,6 +343,7 @@ def log_boundary(c: float = 2.0) -> DensityModel:
     """Hazard c*log(e + x): the slow end of the unbounded-hazard regime."""
     if c <= 0:
         raise DomainError("log-boundary scale must be positive")
+    from scipy import special
     c = float(c)
     e = math.e
 
@@ -368,6 +374,7 @@ def log_boundary(c: float = 2.0) -> DensityModel:
         _cum_hazard=cum_hazard,
         _inv_cum_hazard=inv_cum_hazard,
         tail=TailClass(LOG_BOUNDARY, index=c),
+        _finite_mean=True,
     )
 
 
@@ -494,6 +501,7 @@ def custom(
         return np.asarray([float(hazard(float(t))) for t in xs])
 
     if cumulative_hazard is None:
+        from scipy import integrate
 
         def H_one(x):
             if x <= 0:
@@ -525,9 +533,7 @@ def custom(
                     "cumulative hazard level is too deep for numeric inversion"
                 )
             hi = min(hi * 2.0, cap * (1.0 - 1e-15))
-        return optimize.brentq(
-            lambda t: H_one(t) - v, 0.0, hi, xtol=1e-13, rtol=8.9e-16
-        )
+        return brentq(lambda t: H_one(t) - v, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
 
     @_shaped
     def Hinv_arr(vs):
@@ -554,8 +560,7 @@ def custom(
 def first_abs_moment(model: DensityModel) -> float:
     """E|X| via closed form when known, otherwise by integrating survival.
 
-    Raises InfiniteMeanError when the moment diverges; the solver calls
-    this before doing anything else.
+    Raises InfiniteMeanError when the moment diverges.
     """
     if model._moment is not None:
         if math.isinf(model._moment):
@@ -564,6 +569,7 @@ def first_abs_moment(model: DensityModel) -> float:
                 "search plan has infinite expected time"
             )
         return model._moment
+    from scipy import integrate
     if model.support == UNIT_INTERVAL:
         val, _ = integrate.quad(lambda t: model.survival(t), 0.0, 1.0, limit=200)
         return val
@@ -582,6 +588,13 @@ def first_abs_moment(model: DensityModel) -> float:
         f"survival integral for {model.spec_string()} did not converge; "
         "the first absolute moment appears infinite"
     )
+
+
+def check_finite_mean(model: DensityModel) -> None:
+    """The solver's guard: InfiniteMeanError unless E|X| is finite.  Only a
+    half-line model that states no mean (custom) integrates its survival."""
+    if model.support == HALF_LINE and not model._finite_mean:
+        first_abs_moment(model)
 
 
 def classify_tail(model: DensityModel) -> TailClass:

@@ -36,10 +36,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import solve_banded
 
 from . import asymptotics, density_kit
+from ._numeric import brentq, solve_tridiagonal
 from .density_kit import (
     COMPACT_POWER_LAW,
     COMPACT_RV,
@@ -48,8 +47,8 @@ from .density_kit import (
     POWER_LAW,
     UNIT_INTERVAL,
     DensityModel,
+    check_finite_mean,
     classify_tail,
-    first_abs_moment,
 )
 from .errors import (
     BracketError,
@@ -581,7 +580,7 @@ def _solve_reverse(eng: _Engine, k_max: int, pad: int, xtol: float) -> np.ndarra
             lo, rlo = mid, rm
         if guard > 900:
             raise ConvergenceError(f"{eng.name}: bracket refinement failed")
-    ths = optimize.brentq(resid, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=300)
+    ths = brentq(resid, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=300)
     v, us = min((e for e in orbits.values() if e[0] > _LOW), key=lambda e: abs(e[0]))
     log.debug("%s: dial=%.6f landing=%.3e", eng.name, ths, v)
     try:
@@ -610,8 +609,7 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
     logged and recorded in the sequence diagnostics.
     """
     config = config or SolverConfig()
-    if model.support == HALF_LINE:
-        first_abs_moment(model)  # raises InfiniteMeanError on heavy tails
+    check_finite_mean(model)
     tail = classify_tail(model)
 
     if tail.kind == COMPACT_TERMINATING:
@@ -862,13 +860,8 @@ def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
             )
         if np.all(np.abs(res) < 1e-12 * scale):
             return
-        ab = np.zeros((3, n - first))
-        ab[0, 1:] = hi[:-1]
-        ab[1, :] = mid
-        ab[2, :-1] = lo[1:]
-        try:
-            step = solve_banded((1, 1), ab, -res)
-        except ValueError:  # singular (LinAlgError) or non-finite bands
+        step = solve_tridiagonal(lo[1:], mid, hi[:-1], -res)
+        if step is None:  # singular or non-finite bands
             break
         trials = us[first:n] + _HALVINGS[:, None] * step
         ordered = (
@@ -883,7 +876,7 @@ def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
             )
         us[first:n] += _HALVINGS[ordered.argmax()] * step
     raise ConvergenceError(
-        "stationarity-chain Newton did not converge on the horizon", last_iterate=us
+        "stationarity-chain Newton did not converge in 60 steps", last_iterate=us
     )
 
 
@@ -973,8 +966,7 @@ def finite_horizon_optimize(
     config = config or SolverConfig()
     if n < 1:
         raise DomainError("horizon must be at least 1")
-    if model.support == HALF_LINE:
-        first_abs_moment(model)
+    check_finite_mean(model)
     tail = classify_tail(model)
     if tail.kind == COMPACT_TERMINATING:
         return TurningSequence(

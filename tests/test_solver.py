@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from conftest import custom_compact_rv, custom_log_boundary, custom_lomax, solved
 
 import lsp_lab as L
@@ -118,6 +119,8 @@ def test_solve_uniform_endpoints():
 def test_solve_rejects_infinite_mean():
     with pytest.raises(L.InfiniteMeanError):
         L.solve(L.parse_spec("lomax:1"))
+    with pytest.raises(L.InfiniteMeanError):
+        L.finite_horizon_optimize(L.parse_spec("lomax:0.5"), 10)
 
 
 def test_solve_monotone_and_lengths():
@@ -504,7 +507,8 @@ def test_halfline_oracle_runs_without_scalar_descent(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called minimize_scalar")
 
-    monkeypatch.setattr(S.optimize, "minimize_scalar", refuse)
+    # patched where it is defined: the solver imports nothing from scipy
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", refuse)
     model = L.parse_spec(spec)
     seq = L.finite_horizon_optimize(model, 40)
     assert seq.is_strictly_increasing()

@@ -6,8 +6,10 @@ integral has no canonical lower limit, so predictions derived from it
 are defined up to a constant index shift; callers that need alignment
 fit that shift rather than pretending the law fixes it.
 
-index_integral and invert_index evaluate the index law exactly (quad and
-brentq) for predictions.  The solver only needs it as a seed, so it reads
+index_integral and invert_index evaluate the index law exactly for
+predictions: the package's Gauss-Kronrod quad in s = log x, and brentq.
+predict_sequence inverts it once over the sorted indices, each root found
+from the one before.  The solver only needs the law as a seed, so it reads
 tabulate_index instead: one vectorised tabulation per model, through the
 same integrand.
 """
@@ -20,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numeric import brentq
+from ._numeric import brentq, quad
 from .density_kit import (
     COMPACT_POWER_LAW,
     HALF_LINE,
@@ -150,14 +152,28 @@ def default_x_low(model: DensityModel) -> float:
     return brentq(f, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
 
 
-def _index_integrand(model: DensityModel, x, log=np.log):
-    """h/log(x h) at positive x, through the raw array hazard.
+def _index_integrand(model: DensityModel, s):
+    """x h/log(x h) at x = e^s, the index integrand in s = log x; not finite past overflow."""
+    x = np.exp(s)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h = model._hazard(x)
+        return x * (h / np.log(x * h))
 
-    quad passes log=math.log: the scalar path keeps the libm logarithm,
-    which np.log does not match bit for bit.
-    """
-    h = model._hazard(x)
-    return h / log(x * h)
+
+def _check_room(model: DensityModel, a: float, b: float) -> None:
+    """DomainError unless u*h(u) > 1 at a and at 48 probes of [a, b]."""
+    if a * model.hazard(a) <= 1.0:
+        raise DomainError("integrand singular at the lower limit (x*h = 1); choose a larger x_low")
+    probes = np.geomspace(a, b, 48)
+    if np.any(probes * np.asarray(model.hazard(probes)) <= 1.0):
+        raise DomainError(
+            "integrand crosses the x*h = 1 singularity inside the range; choose a larger x_low"
+        )
+
+
+def _index_gain(model: DensityModel, a: float, b: float) -> float:
+    """Integral of h/log(u h(u)) on [a, b]."""
+    return quad(lambda s: _index_integrand(model, s), math.log(a), math.log(b))
 
 
 def index_integral(
@@ -168,49 +184,38 @@ def index_integral(
         x_low = default_x_low(model)
     if x <= x_low:
         raise DomainError("x must exceed x_low")
-    lo_val = x_low * model.hazard(x_low)
-    if lo_val <= 1.0:
-        raise DomainError(
-            "integrand singular at the lower limit (x*h = 1); choose a "
-            "larger x_low"
-        )
-    # cheap singularity sweep: u*h(u) must stay above 1 on the range
-    probes = np.geomspace(x_low, x, 48)
-    vals = probes * np.asarray(model.hazard(probes))
-    if np.any(vals <= 1.0):
-        raise DomainError(
-            "integrand crosses the x*h = 1 singularity inside the range; "
-            "choose a larger x_low"
-        )
-    from scipy import integrate
-    val, _ = integrate.quad(
-        lambda u: _index_integrand(model, u, math.log), x_low, x, epsrel=1e-8, limit=300
-    )
-    return val
+    _check_room(model, x_low, x)
+    return _index_gain(model, x_low, x)
 
 
-def invert_index(
-    model: DensityModel, k: float, x_low: Optional[float] = None
-) -> float:
-    """Position whose predicted index is k (inverse of index_integral)."""
-    if k <= 0:
+def _advance(model: DensityModel, x0: float, k0: float, k: float) -> tuple[float, float]:
+    """(x, k(x)) for the position x past x0 whose predicted index is k,
+    given k(x0) = k0 < k.  hi doubles from 2 x0 until k0 + the integral on
+    [x0, hi] passes k, each new octave swept once for x h = 1; brentq then
+    solves inside [x0, hi].  k0 is 0 at x_low or an earlier positive index."""
+    if k <= k0:
         raise DomainError("index must be positive")
-    if x_low is None:
-        x_low = default_x_low(model)
 
     def f(x):
-        return index_integral(model, x, x_low=x_low) - k
+        return k0 + _index_gain(model, x0, x) - k
 
-    hi = 2.0 * x_low
+    hi = 2.0 * x0
     for _ in range(200):
+        _check_room(model, 0.5 * hi, hi)
         if f(hi) > 0:
             break
         hi *= 2.0
     else:
         raise DomainError("could not bracket the index inversion")
-    return brentq(
-        f, x_low * (1.0 + 1e-9), hi, xtol=1e-12, rtol=8.9e-16, maxiter=200
-    )
+    x = brentq(f, x0, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    return x, k + f(x)
+
+
+def invert_index(model: DensityModel, k: float, x_low: Optional[float] = None) -> float:
+    """Position whose predicted index is k (inverse of index_integral)."""
+    if x_low is None:
+        x_low = default_x_low(model)
+    return _advance(model, x_low, 0.0, k)[0]
 
 
 _NODES_PER_OCTAVE = 64  # seed-table density: the dial absorbs the interpolation error
@@ -235,9 +240,7 @@ def tabulate_index(model: DensityModel) -> Callable[[float], float]:
         # n more intervals past s[-1]; g = e^s h/log(e^s h) on the half grid
         nonlocal s, ks
         s_half = s[-1] + 0.5 * ds * np.arange(2 * n + 1)
-        x = np.exp(s_half)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            g = x * _index_integrand(model, x)
+        g = _index_integrand(model, s_half)
         if not np.all(np.isfinite(g) & (g > 0.0)):
             raise DomainError(
                 "index integrand is singular or overflows before the asked index; "
@@ -354,9 +357,13 @@ def predict_sequence(
     The increment and compact-residual laws are relative to a computed
     sequence (the increment formula is evaluated at the solver's own
     x_k; the gap constant A is fitted from the solver's log gaps), so
-    those require `sequence`.  Position laws are standalone.
+    those require `sequence`.  Position laws are standalone; the index
+    law finds each root from the one at the next lower k.  An empty ks
+    raises DomainError.
     """
     ks = [int(t) for t in ks]
+    if not ks:
+        raise DomainError(f"the index range is empty: no index to evaluate the {law} law on")
     mid = model.spec_string()
     if law == LAW_INCREMENT:
         if sequence is None:
@@ -369,7 +376,10 @@ def predict_sequence(
         return AsymptoticPrediction(law, mid, vals)
     if law == LAW_INDEX_INTEGRAL:
         x_low = default_x_low(model)
-        vals = {k: invert_index(model, float(k), x_low=x_low) for k in ks}
+        x, t, at = x_low, 0.0, {}
+        for k in sorted(set(ks)):  # each root from the one before
+            x, t = at[k] = _advance(model, x, t, float(k))
+        vals = {k: at[k][0] for k in ks}
         return AsymptoticPrediction(law, mid, vals, {"x_low": x_low})
     if law == LAW_CLOSED_FORM:
         vals = {k: closed_form_xk(model, float(k)) for k in ks}

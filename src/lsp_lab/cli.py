@@ -201,8 +201,6 @@ def _prediction_for(model, law: str, cfg: RunConfig, seq=None):
         seq = solver.solve(model, solver.SolverConfig(k_max=cfg.k_max))
     if law == asymptotics.LAW_INCREMENT:
         ks = _increment_ks(model, seq, cfg.k_max)
-        if not ks:
-            raise DomainError("no indices past burn-in: increase k-max")
     elif law == asymptotics.LAW_COMPACT_RESIDUAL:
         ks = list(range(1, min(cfg.k_max, len(seq.points) - 2) + 1))
     else:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._numeric import brentq
+from ._numeric import brentq, quad
 from .errors import (
     ClassificationError,
     DomainError,
@@ -500,24 +500,13 @@ def custom(
     def h_arr(xs):
         return np.asarray([float(hazard(float(t))) for t in xs])
 
-    if cumulative_hazard is None:
-        from scipy import integrate
-
-        def H_one(x):
-            if x <= 0:
-                return 0.0
-            val, _ = integrate.quad(hazard, 0.0, x, limit=200)
-            return val
-
-    else:
-
-        def H_one(x):
+    def H_one(x):
+        if cumulative_hazard is not None:
             return float(cumulative_hazard(x))
+        return quad(h_arr, 0.0, x) if x > 0 else 0.0
 
-        if abs(H_one(0.0)) > 1e-12:
-            raise DomainError(
-                "cumulative hazard must vanish at 0 (it is an integral from 0)"
-            )
+    if cumulative_hazard is not None and abs(H_one(0.0)) > 1e-12:
+        raise DomainError("cumulative hazard must vanish at 0 (it is an integral from 0)")
 
     @_shaped
     def H_arr(xs):
@@ -569,17 +558,15 @@ def first_abs_moment(model: DensityModel) -> float:
                 "search plan has infinite expected time"
             )
         return model._moment
-    from scipy import integrate
     if model.support == UNIT_INTERVAL:
-        val, _ = integrate.quad(lambda t: model.survival(t), 0.0, 1.0, limit=200)
-        return val
+        return quad(model.survival, 0.0, 1.0)
     # Half line: integrate survival in doubling blocks and require the
     # increments to settle, so a heavy tail is reported instead of trusted
     # to a single improper quadrature.
     total = 0.0
     lo, hi = 0.0, 1.0
     for _ in range(80):
-        inc, _ = integrate.quad(lambda t: model.survival(t), lo, hi, limit=200)
+        inc = quad(model.survival, lo, hi)
         total += inc
         if hi > 8.0 and inc < 1e-12 * max(total, 1.0):
             return total

@@ -295,6 +295,39 @@ def test_predict_sequence_positions_increase():
     assert "x_low" in pred.fitted_constants
 
 
+@pytest.mark.parametrize(
+    "spec", ["exponential:1", "stretchedexp:1,1", "gumbel:1", "logboundary:2", "lognormal:1"]
+)
+def test_chained_index_law_matches_per_k_inversion(spec):
+    model = dk.parse_spec(spec)
+    ks = range(2, 61)
+    pred = A.predict_sequence(model, A.LAW_INDEX_INTEGRAL, ks)
+    x_low = pred.fitted_constants["x_low"]
+    for k in ks:
+        assert pred.values[k] == pytest.approx(A.invert_index(model, k, x_low=x_low), rel=1e-12)
+
+
+def test_chained_index_law_ignores_order_and_repeats():
+    model = dk.parse_spec("logboundary:2")
+    ks = list(range(2, 31))
+    want = A.predict_sequence(model, A.LAW_INDEX_INTEGRAL, ks).values
+    shuffled = [ks[i] for i in np.random.default_rng(3).permutation(len(ks))]
+    for order in (shuffled, ks[::-1], ks + ks[::3]):
+        pred = A.predict_sequence(model, A.LAW_INDEX_INTEGRAL, order)
+        assert list(pred.values) == list(dict.fromkeys(order))
+        assert pred.values == want
+    with pytest.raises(DomainError):
+        A.predict_sequence(model, A.LAW_INDEX_INTEGRAL, [5, 0])
+
+
+@pytest.mark.parametrize(
+    "law", [A.LAW_INDEX_INTEGRAL, A.LAW_CLOSED_FORM, A.LAW_PARETO_RATE, A.LAW_INCREMENT]
+)
+def test_predict_sequence_refuses_an_empty_range(law):
+    with pytest.raises(DomainError):
+        A.predict_sequence(dk.parse_spec("lomax:3"), law, [])
+
+
 def test_predict_sequence_closed_form_matches():
     model = dk.parse_spec("stretchedexp:1,1")
     pred = A.predict_sequence(model, A.LAW_CLOSED_FORM, [10, 100])

@@ -141,6 +141,18 @@ def test_predict_law_not_applicable(capsys):
     assert "power-law" in err
 
 
+@pytest.mark.parametrize(
+    "dist,law",
+    [("exponential:1", "index-integral"), ("exponential:1", "closed-form"), ("lomax:3", "pareto-rate")],
+)
+def test_predict_refuses_an_empty_index_range(capsys, dist, law):
+    # the position and rate laws start at k = 2, so k-max 1 leaves no index
+    code, out, err = run_cli(capsys, "predict", "--dist", dist, "--law", law, "--k-max", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "empty" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

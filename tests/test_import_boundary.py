@@ -2,8 +2,11 @@
 
 `import lsp_lab` and the cli load numpy alone, and a cross-checked solve
 stays scipy-free on every family whose facts are closed forms; lognormal
-loads what scipy.special itself does.  Dropping the survival quadrature
-from solve's mean guard must not let an infinite mean through.
+loads what scipy.special itself does.  The index law, the survival
+moments and custom() cumulative hazards integrate in the package, so
+predictions, expected times and hazard-only models load no scipy either.
+Dropping the survival quadrature from solve's mean guard must not let an
+infinite mean through.
 """
 
 import json
@@ -45,6 +48,37 @@ def test_cross_checked_solve_loads_no_scipy(spec):
         "import lsp_lab as L, lsp_lab.cli\n"
         f"seq = L.solve(L.parse_spec({spec!r}), L.SolverConfig(k_max=60))\n"
         "assert {'x1_bisection_reldev', 'x1_oracle_reldev'} <= set(seq.diagnostics)"
+    )
+    assert _scipy_modules(body) == set()
+
+
+def _cli(*argv) -> str:
+    """A quiet lsp_lab.cli.main call that must exit 0, as a script line."""
+    return (
+        "import contextlib, io, lsp_lab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert lsp_lab.cli.main({list(argv)!r}) == 0\n"
+    )
+
+
+def test_index_law_prediction_loads_no_scipy():
+    body = _cli("predict", "--dist", "exponential:1", "--law", "index-integral", "--k-max", "60")
+    assert _scipy_modules(body) == set()
+
+
+@pytest.mark.parametrize("spec", ["gumbel:1", "stretchedexp:1,1", "compactfast:1,1"])
+def test_expected_time_loads_no_scipy(spec):
+    # --samples reports first_abs_moment, which these families integrate
+    body = _cli("solve", "--dist", spec, "--k-max", "60", "--samples", "10000")
+    assert _scipy_modules(body) == set()
+
+
+def test_hazard_only_custom_solve_loads_no_scipy():
+    body = (
+        "import lsp_lab as L\n"
+        "model = L.custom(hazard=lambda x: 2.0 * x, tail=L.TailClass('superlog', index=1.0))\n"
+        "L.solve(model, L.SolverConfig(k_max=20, cross_check=False))\n"
+        "L.first_abs_moment(model)"
     )
     assert _scipy_modules(body) == set()
 

@@ -1,16 +1,18 @@
-"""The in-package kernels against scipy: Brent roots and tridiagonal solves.
+"""The in-package kernels against scipy: Brent roots, tridiagonal solves, quadrature.
 
 _numeric.brentq must give scipy.optimize.brentq's roots bit for bit,
 through the same evaluation points, at every call site with its own
 function and tolerances; _numeric.solve_tridiagonal must give
 scipy.linalg.solve_banded((1, 1), ...)'s solution bit for bit.
+_numeric.quad must meet closed forms and a tight scipy.integrate.quad to
+about 1e-14, and fail with the package's own errors.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import linalg, optimize
+from scipy import integrate, linalg, optimize
 
 import lsp_lab as L
 from lsp_lab import _numeric
@@ -157,3 +159,96 @@ def test_solve_tridiagonal_non_finite(slot, bad):
     assert _numeric.solve_tridiagonal(*args) is None
     with pytest.raises(ValueError):
         linalg.solve_banded((1, 1), _banded(*args[:3]), args[3])
+
+
+@pytest.mark.parametrize(
+    "f,a,b,want",
+    [
+        (lambda x: np.exp(-0.5 * x * x), 0.0, 40.0, math.sqrt(math.pi / 2.0)),
+        (lambda x: x * x, 0.0, 1.0, 1.0 / 3.0),
+        (lambda x: x * np.exp(-x), 0.0, 60.0, 1.0),  # the exponential:1 mean
+        (lambda x: x * x, 1.0, 0.0, -1.0 / 3.0),  # a reversed range
+        (lambda x: x * x, 2.0, 2.0, 0.0),
+    ],
+    ids=["half-gaussian", "square", "exponential-mean", "reversed", "empty"],
+)
+def test_quad_meets_closed_forms(f, a, b, want):
+    assert _numeric.quad(f, a, b) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+def _scipy_index_integral(model, x_low, x):
+    def g(u):
+        h = float(model.hazard(u))
+        return h / math.log(u * h)
+
+    val, _ = integrate.quad(g, x_low, x, epsrel=1e-13, epsabs=0.0, limit=1000)
+    return val
+
+
+@pytest.mark.parametrize(
+    "spec", ["exponential:1", "stretchedexp:1,1", "gumbel:1", "logboundary:2", "lognormal:1"]
+)
+def test_quad_index_integral_meets_tight_scipy_quad(spec):
+    model = L.parse_spec(spec)
+    x_low = A.default_x_low(model)
+    x_top = A.invert_index(model, 1000.0, x_low=x_low)
+    for x in np.geomspace(x_low, x_top, 6)[1:]:
+        want = _scipy_index_integral(model, x_low, x)
+        assert A.index_integral(model, x, x_low=x_low) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "f,error",
+    [
+        (lambda x: np.where(x < 0.5, np.nan, 1.0), L.DomainError),
+        (lambda x: np.where(x < 0.5, np.inf, 1.0), L.DomainError),
+        (lambda x: 1.0 / x, L.ConvergenceError),  # divergent at 0
+    ],
+    ids=["nan", "inf", "divergent"],
+)
+def test_quad_raises_typed_errors(f, error):
+    with pytest.raises(error):
+        _numeric.quad(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.5),  # a jump
+        lambda x: 0.5 / np.sqrt(x),
+        lambda x: 0.25 * x**-0.75,
+    ],
+    ids=["jump", "x^-1/2", "x^-3/4"],
+)
+def test_quad_meets_a_jump_and_an_end_singularity(f):
+    # here |K21 - G10| is not pessimistic, so the 1e-12 stop itself bounds the error
+    assert _numeric.quad(f, 0.0, 1.0) == pytest.approx(1.0, rel=3e-12)
+
+
+def test_custom_hazard_singular_at_zero():
+    # Weibull with shape 1/2: H(x) = sqrt(x)
+    model = L.custom(hazard=lambda x: 0.5 / math.sqrt(x))
+    xs = np.array([0.01, 1.0, 4.0])
+    assert np.allclose(model.cumulative_hazard(xs), np.sqrt(xs), rtol=3e-12, atol=0.0)
+
+
+def test_quad_resolves_an_oscillation():
+    want = (1.0 - math.cos(1e3)) / 1e3
+    assert _numeric.quad(lambda x: np.sin(1e3 * x), 0.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_quad_interval_budget():
+    # sin(1e6 x) on [0, 1] would need about 1e5 intervals, past the 4000 budget
+    with pytest.raises(L.ConvergenceError):
+        _numeric.quad(lambda x: np.sin(1e6 * x), 0.0, 1.0)
+
+
+def test_index_law_overflow_is_typed():
+    """A hazard that overflows inside the range stops the index law with a
+    DomainError rather than a raw numpy error or a NaN position."""
+    model = L.custom(hazard=lambda x: math.exp(x) if x < 700.0 else math.inf,
+                     tail=L.TailClass("superlog", rapid=True))
+    with pytest.raises(L.DomainError):
+        A.index_integral(model, 800.0, x_low=1.0)
+    with pytest.raises(L.DomainError):
+        A.invert_index(model, 1e300, x_low=1.0)

@@ -103,7 +103,10 @@ def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # a zero denominator (the slopes' product can underflow) is
+                # an infinite step in scipy's C, which then bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:

@@ -188,11 +188,16 @@ def index_integral(
     return _index_gain(model, x_low, x)
 
 
+_NODES_PER_OCTAVE = 64  # seed-table density: the dial absorbs the interpolation error
+_MAX_OCTAVES = 512      # index-law range past its start before an inversion gives up
+
+
 def _advance(model: DensityModel, x0: float, k0: float, k: float) -> tuple[float, float]:
     """(x, k(x)) for the position x past x0 whose predicted index is k,
-    given k(x0) = k0 < k.  hi doubles from 2 x0 until k0 + the integral on
-    [x0, hi] passes k, each new octave swept once for x h = 1; brentq then
-    solves inside [x0, hi].  k0 is 0 at x_low or an earlier positive index."""
+    given k(x0) = k0 < k.  hi doubles from 2 x0, at most _MAX_OCTAVES
+    times, until k0 + the integral on [x0, hi] passes k, each new octave
+    swept once for x h = 1; brentq then solves inside [x0, hi].  k0 is 0
+    at x_low or an earlier positive index."""
     if k <= k0:
         raise DomainError("index must be positive")
 
@@ -200,7 +205,7 @@ def _advance(model: DensityModel, x0: float, k0: float, k: float) -> tuple[float
         return k0 + _index_gain(model, x0, x) - k
 
     hi = 2.0 * x0
-    for _ in range(200):
+    for _ in range(_MAX_OCTAVES):
         _check_room(model, 0.5 * hi, hi)
         if f(hi) > 0:
             break
@@ -216,10 +221,6 @@ def invert_index(model: DensityModel, k: float, x_low: Optional[float] = None) -
     if x_low is None:
         x_low = default_x_low(model)
     return _advance(model, x_low, 0.0, k)[0]
-
-
-_NODES_PER_OCTAVE = 64  # seed-table density: the dial absorbs the interpolation error
-_MAX_OCTAVES = 512      # seed-table range past x_low before the inversion gives up
 
 
 def tabulate_index(model: DensityModel) -> Callable[[float], float]:

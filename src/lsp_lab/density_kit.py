@@ -11,14 +11,15 @@ underflows.
 Supports are either the half line [0, inf) or the unit interval [0, 1].
 On the unit interval the natural deep coordinate is L = -log(1 - x).
 Each constructor states its family's facts once, on the model: tail
-class, mean, closed-form position law and compact-rv hazard parameters.  The
+class, mean, closed-form position law and, on the unit interval, the edge
+hazard A0/(1-x)^(1+b) the solver's log-gap forms are built from.  The
 solver and the laws read those fields, never the family name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -121,8 +122,10 @@ class DensityModel:
     tail: Optional[TailClass] = field(default=None, repr=False)
     # Leading-order position law k -> x_k, if the family has one.
     closed_form: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    # (a, b) of a compact-rv hazard a/(1-x)^(1+b), exactly as given.
-    rv_params: Optional[tuple[float, float]] = field(default=None, repr=False)
+    # (A0, b) of a unit-interval hazard A0/(1-x)^(1+b), exactly as given;
+    # b = 0 is a compact power law.  None where the solver has no log-gap
+    # forms: terminating compacts and custom models.
+    edge_hazard: Optional[tuple[float, float]] = field(default=None, repr=False)
     # Closed-form first moment if the family has one; None means integrate.
     _moment: Optional[float] = field(default=None, repr=False)
     # True when the mean is known finite without a closed form for it.
@@ -378,37 +381,6 @@ def log_boundary(c: float = 2.0) -> DensityModel:
     )
 
 
-def uniform() -> DensityModel:
-    return DensityModel(
-        family="uniform",
-        params=(),
-        param_names=(),
-        support=UNIT_INTERVAL,
-        _pdf=lambda x: np.ones_like(x),
-        _hazard=lambda x: 1.0 / (1.0 - x),
-        _cum_hazard=lambda x: -np.log1p(-x),
-        _inv_cum_hazard=lambda v: -np.expm1(-v),
-        tail=TailClass(COMPACT_TERMINATING),
-        _moment=0.5,
-    )
-
-
-def triangular() -> DensityModel:
-    """Density 2(1-x) on [0, 1]: survival (1-x)^2."""
-    return DensityModel(
-        family="triangular",
-        params=(),
-        param_names=(),
-        support=UNIT_INTERVAL,
-        _pdf=lambda x: 2.0 * (1.0 - x),
-        _hazard=lambda x: 2.0 / (1.0 - x),
-        _cum_hazard=lambda x: -2.0 * np.log1p(-x),
-        _inv_cum_hazard=lambda v: -np.expm1(-0.5 * v),
-        tail=TailClass(COMPACT_POWER_LAW, index=2.0),
-        _moment=1.0 / 3.0,
-    )
-
-
 def compact_power(c: float) -> DensityModel:
     """Survival (1-x)^c on [0, 1].  c=1 is the uniform law, c=2 triangular."""
     if c <= 0:
@@ -427,7 +399,18 @@ def compact_power(c: float) -> DensityModel:
         tail=(TailClass(COMPACT_POWER_LAW, index=c) if c > 1.0
               else TailClass(COMPACT_TERMINATING)),
         _moment=1.0 / (1.0 + c),
+        edge_hazard=(c, 0.0) if c > 1.0 else None,
     )
+
+
+def uniform() -> DensityModel:
+    """Density 1 on [0, 1]: compactpower:1."""
+    return replace(compact_power(1.0), family="uniform", params=(), param_names=())
+
+
+def triangular() -> DensityModel:
+    """Density 2(1-x) on [0, 1]: survival (1-x)^2, compactpower:2."""
+    return replace(compact_power(2.0), family="triangular", params=(), param_names=())
 
 
 def compact_fast(a: float = 1.0, b: float = 1.0) -> DensityModel:
@@ -467,7 +450,7 @@ def compact_fast(a: float = 1.0, b: float = 1.0) -> DensityModel:
         _inv_cum_hazard=inv_cum_hazard,
         tail=TailClass(COMPACT_RV, index=1.0 + b),
         closed_form=closed_form,
-        rv_params=(a, b),
+        edge_hazard=(a, b),
     )
 
 
@@ -485,9 +468,10 @@ def custom(
     which is correct but slow inside the solver; pass one when you have it.
     The tail class must be declared explicitly for classify_tail or solve
     to work: it is never inferred from hazard samples, nor from the name,
-    and must fit the support (DomainError otherwise).  A declared
-    compact-rv class classifies but does not solve: the solver's log-gap
-    forms need the (a, b) that only compactfast carries.
+    and must fit the support (DomainError otherwise).  A declared compact
+    power-law or compact-rv class classifies but does not solve: the
+    solver's log-gap forms need the edge hazard (A0, b) that only
+    compactpower and compactfast declare.
     """
     if support not in (HALF_LINE, UNIT_INTERVAL):
         raise DomainError(f"unknown support kind {support!r}")

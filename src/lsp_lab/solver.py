@@ -3,12 +3,13 @@
 Three routes to the same object:
 
 - shoot_forward iterates the optimality recurrence in x coordinates.  It
-  is the textbook method and the basis of find_x1 (which runs the same
-  step over arrays of trial x1), but forward iteration amplifies seed
-  error so violently that no float x1 survives more than a dozen steps
-  on most families.  The failure *mode* (collapse versus underflow)
-  still flips cleanly across the true x1, which is what the bisection
-  actually uses.
+  is the textbook method and the scalar reference for find_x1, which
+  runs one lane kernel over arrays of trial x1 on both supports: the
+  same step in x on the half line, its log-gap form in L on the unit
+  interval.  Forward iteration amplifies seed error so violently that
+  no float x1 survives more than a dozen steps on most families.  The
+  failure *mode* (collapse versus underflow) still flips cleanly across
+  the true x1, which is what the bisection actually uses.
 - solve integrates the recurrence in reverse from deep-tail asymptotic
   seeds, where the same instability works for us: contraction toward the
   true orbit.  A one-parameter dial shifts the seed along the asymptotic
@@ -40,8 +41,6 @@ import numpy as np
 from . import asymptotics, density_kit
 from ._numeric import brentq, solve_tridiagonal
 from .density_kit import (
-    COMPACT_POWER_LAW,
-    COMPACT_RV,
     COMPACT_TERMINATING,
     HALF_LINE,
     POWER_LAW,
@@ -187,28 +186,29 @@ def recurrence_step(model: DensityModel, x_prev: float, x_cur: float) -> float:
     return float(x_next)
 
 
-def _shoot_modes(model: DensityModel, x1s: np.ndarray, k_max: int) -> np.ndarray:
-    """shoot_forward's outcome for every x1 in x1s on the half line, in one pass.
+def _shoot_modes(step, g0: float, u1s: np.ndarray, k_max: int) -> np.ndarray:
+    """The forward shooting outcome for every u1 in u1s, in one pass.
 
-    Each step advances all live lanes through _step at once, carrying
-    each lane's G(x_cur) forward as the next step's G(x_prev), and retires
-    a lane exactly where shoot_forward would end: NUMERIC_UNDERFLOW when
-    the step is undefined or not finite, MONOTONICITY_VIOLATED when
-    x_next <= x_cur.  Lanes still live after k_max - 1 steps survived.
+    step(g_prev, u_cur) -> (u_next, g_cur, under) advances all live lanes
+    at once in the working coordinate, an engine's shoot: g is what each
+    lane carries to its next step, g0 its value at u_0 = 0.  A lane ends
+    NUMERIC_UNDERFLOW where step marks it under (the step is undefined,
+    or the orbit left the representable interior), MONOTONICITY_VIOLATED
+    where u_next <= u_cur.  Lanes still live after k_max - 1 steps
+    survived.
     """
-    modes = np.full(len(x1s), SURVIVED, dtype=object)
-    live = np.arange(len(x1s))
-    g_prev, x_cur = model.survival(np.zeros(len(x1s))), np.asarray(x1s, dtype=float)
+    modes = np.full(len(u1s), SURVIVED, dtype=object)
+    live = np.arange(len(u1s))
+    g_prev, u_cur = np.full(len(u1s), g0), np.asarray(u1s, dtype=float)
     for _ in range(1, k_max):
         if not live.size:
             break
-        x_next, p, g = _step(model, g_prev, x_cur)
-        under = ~((p > 0.0) & np.isfinite(p) & np.isfinite(x_next))
-        collapse = ~under & (x_next <= x_cur)
+        u_next, g, under = step(g_prev, u_cur)
+        collapse = ~under & (u_next <= u_cur)
         modes[live[under]] = NUMERIC_UNDERFLOW
         modes[live[collapse]] = MONOTONICITY_VIOLATED
         keep = ~(under | collapse)
-        live, g_prev, x_cur = live[keep], g[keep], x_next[keep]
+        live, g_prev, u_cur = live[keep], g[keep], u_next[keep]
     return modes
 
 
@@ -269,7 +269,7 @@ def recurrence_residual(model: DensityModel, seq: TurningSequence) -> np.ndarray
     line, L = -log(1 - x) on the unit interval (log_gaps when present),
     so entries stay meaningful after points saturate at 1.0.  NaN marks
     an index where log W_k is undefined.  Models without working forms
-    raise their typed error: terminating compacts, custom compact-rv
+    raise their typed error: terminating compacts, custom unit-interval
     models and custom models without a declared tail.
     """
     if seq.points.size < 3:
@@ -302,6 +302,9 @@ class _Engine:
     the rows (log W_k, d/du_k, d/du_{k+1}) of the stationarity chain,
     NaN where W_k is too small.  next_slot(k, u_prev, u_n) places the
     oracle's slot k after slot k-1 at u_prev, below the terminal slot u_n.
+    shoot is the forward recurrence as find_x1's lane step, for
+    _shoot_modes: it carries G(x) on the half line and H(L) on the unit
+    interval.
     """
 
     name: str
@@ -315,6 +318,7 @@ class _Engine:
     Hp: Callable[[np.ndarray], np.ndarray]
     dlog_w: Callable[[np.ndarray, np.ndarray], np.ndarray]
     next_slot: Callable[[int, float, float], float]
+    shoot: Callable[[np.ndarray, np.ndarray], tuple]
 
 
 def _scalar(fn) -> Callable[[float], float]:
@@ -378,9 +382,13 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
         # the H-midpoint of the previous slot and the cap
         return hc_inv(0.5 * (hc(u_prev) + hc(u_n)))
 
+    def shoot(g_prev, x_cur):
+        x_next, p, g = _step(model, g_prev, x_cur)
+        return x_next, g, ~((p > 0.0) & np.isfinite(p) & np.isfinite(x_next))
+
     return _Engine(
         model.spec_string(), "x", hc, hc_inv, log_w, lambda u: u, law, H, h, dlog_w,
-        next_slot,
+        next_slot, shoot,
     )
 
 
@@ -408,42 +416,40 @@ def _compact_log_w(A0: float, s: float, Lk: float, Lk1: float):
     return lw, (A0 * ek + s * m) / den, A0 * ek1 / den
 
 
-@dataclass
-class _CompactEngine(_Engine):
-    """An engine in L that also carries the log-gap forms.
+def _compact_engine(model: DensityModel) -> _Engine:
+    """Forms in L for the model's declared edge hazard A0/(1-x)^(1+b).
 
-    A0 and s give W_k through _compact_log_w.  next_slot ignores u_n,
-    which is the boundary L = inf.
+    b = 0 is a compact power law: H = A0 L, seeded from its geometric
+    gap law.  b > 0 has H = (A0/b)(e^{bL} - 1), seeded from the fixed
+    point of its slot-k depth relation.  next_slot ignores u_n, which is
+    the boundary L = inf.  A model that declares no edge hazard has no
+    log-gap forms: NotApplicableError.
     """
-
-    A0: float
-    s: float
-
-
-def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _CompactEngine:
-    """The one place the compact solver branches on the tail kind."""
-    if tail.kind == COMPACT_POWER_LAW:
-        c = tail.index
-        r = c / (c - 1.0)
-        A0, s = c, 1.0
-        H = lambda L: c * L
-        Hp = lambda L: c
-        Hinv = lambda v: v / c
-
-        law = _overflow_checked(model, lambda t: max(1e-9, r**t - math.log(2.0 * c)))
-        next_slot = lambda k, L_prev, L_n: (c * L_prev + math.log(2 * c)) / (c - 1.0)
-    elif tail.kind == COMPACT_RV and model.rv_params is not None:
-        a, b = model.rv_params
-        A0, s = a, 1.0 + b
-        H = lambda L: (a / b) * math.expm1(b * L)
-        Hp = lambda L: a * math.exp(b * L)
-        Hinv = lambda v: math.log1p(b * v / a) / b
+    if model.edge_hazard is None:
+        raise NotApplicableError(
+            f"no log-gap forms for {model.spec_string()}: the solver has them for a "
+            "declared edge hazard A0/(1-x)^(1+b), which only compactpower (c > 1) "
+            "and compactfast carry"
+        )
+    A0, b = model.edge_hazard
+    s = 1.0 + b
+    if b == 0.0:
+        H = lambda L: A0 * L
+        Hp = lambda L: A0
+        Hinv = lambda v: v / A0
+        r = A0 / (A0 - 1.0)
+        law = _overflow_checked(model, lambda t: max(1e-9, r**t - math.log(2.0 * A0)))
+        next_slot = lambda k, L_prev, L_n: (A0 * L_prev + math.log(2 * A0)) / (A0 - 1.0)
+    else:
+        H = lambda L: (A0 / b) * math.expm1(b * L)
+        Hp = lambda L: A0 * math.exp(b * L)
+        Hinv = lambda v: math.log1p(b * v / A0) / b
 
         def law(t):
             # fixed point of the slot-k depth relation for the rv family
             L = max(0.3, math.log(max(t, 2.0)) / b)
             for _ in range(200):
-                depth = max(t, 1.5) * b * ((1 + b) * L + math.log(2 * a)) / a
+                depth = max(t, 1.5) * b * ((1 + b) * L + math.log(2 * A0)) / A0
                 if depth <= 0.0:
                     raise ConvergenceError(
                         f"{model.spec_string()}: seed law has no fixed point at index {t:g}"
@@ -455,30 +461,37 @@ def _compact_engine(model: DensityModel, tail: density_kit.TailClass) -> _Compac
             return Ln
 
         next_slot = lambda k, L_prev, L_n: max(law(float(k)), L_prev + 0.01)
-    else:
-        raise NotApplicableError(
-            f"no log-gap forms for {model.spec_string()}: the solver has them for "
-            "compact power laws and for the compactfast hazard a/(1-x)^(1+b) only"
-        )
+    H_arr = _each(H)
 
     def log_w(Lk, Lk1):
         terms = _compact_log_w(A0, s, Lk, Lk1)
         return None if terms is None else terms[0]
 
     def dlog_w(Lk, Lk1):
-        rows = [_compact_log_w(A0, s, a, b) or (math.nan,) * 3 for a, b in zip(Lk, Lk1)]
+        rows = [_compact_log_w(A0, s, u, v) or (math.nan,) * 3 for u, v in zip(Lk, Lk1)]
         return np.array(rows, dtype=float).reshape(-1, 3).T
 
-    return _CompactEngine(
+    def shoot(H_prev, L_cur):
+        # the step in L through the engine's own H, whose last bits decide
+        # the labels near the flip; an orbit that crosses x = 1 is under
+        H_cur = H_arr(L_cur)
+        t = H_cur - H_prev - s * L_cur
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x_cur = -np.expm1(-L_cur)
+            eps_next = (1.0 + x_cur) - (np.exp(t) + np.exp(-s * L_cur)) / A0
+            L_next = -np.log(eps_next)
+        return L_next, H_cur, (t > 690.0) | (eps_next <= 0.0)
+
+    return _Engine(
         model.spec_string(), "L", H, Hinv, log_w, lambda L: -math.expm1(-L), law,
-        _each(H), _each(Hp), dlog_w, next_slot, A0, s,
+        H_arr, _each(Hp), dlog_w, next_slot, shoot,
     )
 
 
 def _engine_for(model: DensityModel, tail: density_kit.TailClass) -> _Engine:
     if model.support == HALF_LINE:
         return _halfline_engine(model, tail)
-    return _compact_engine(model, tail)
+    return _compact_engine(model)
 
 
 def _orbit(eng: _Engine, uK: float, uK1: float, K: int):
@@ -679,58 +692,30 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
 # ---------------------------------------------------------------------------
 
 
-def _forward_L_shoot(A0, s, H, L1s, k_max) -> np.ndarray:
-    """Forward recurrence in log-gap coordinates for compact families, per lane.
-
-    H maps arrays.  A lane ends "boundary" when its orbit crosses x = 1
-    (dial too high) or "collapse" when L stops increasing (dial too
-    low); lanes still live after k_max - 1 steps are "survived".
-    """
-    modes = np.full(len(L1s), "survived", dtype=object)
-    live = np.arange(len(L1s))
-    L_cur = np.asarray(L1s, dtype=float)
-    H_prev = H(np.zeros(len(L1s)))
-    for _ in range(1, k_max):
-        if not live.size:
-            break
-        H_cur = H(L_cur)
-        t = H_cur - H_prev - s * L_cur
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x_cur = -np.expm1(-L_cur)
-            eps_next = (1.0 + x_cur) - (np.exp(t) + np.exp(-s * L_cur)) / A0
-            L_next = -np.log(eps_next)
-        boundary = (t > 690.0) | (eps_next <= 0.0)
-        collapse = ~boundary & (L_next <= L_cur)
-        modes[live[boundary]] = "boundary"
-        modes[live[collapse]] = "collapse"
-        keep = ~(boundary | collapse)
-        live, H_prev, L_cur = live[keep], H_cur[keep], L_next[keep]
-    return modes
-
-
 _BISECT_LEVELS = 5  # bisection levels _scan_bisect evaluates per array pass
 
 
-def _scan_bisect(modes, grid, below, above, survived, tol, one_sided, unbracketed):
-    """Bisect the last below-then-above flip of the mode across grid.
+def _scan_bisect(modes, grid, tol, one_sided, unbracketed):
+    """Bisect the last collapse-then-underflow flip of the mode across grid.
 
-    modes maps an array of points to their labels in one pass; the
-    whole grid takes one call.  Each bisection call then labels the next
-    _BISECT_LEVELS levels of the tree under the current bracket at once:
-    its 2**_BISECT_LEVELS - 1 midpoints in heap order, each formed as
-    0.5 * (a + b) from its parent interval.  The walk down that tree
-    makes the one-midpoint-at-a-time loop's decisions (stop once
-    b - a <= tol * a, end at a survived midpoint), so the result is
-    bitwise that loop's.  Raises one_sided when no grid point is below,
-    unbracketed when no adjacent grid pair flips from below to above.
+    modes maps an array of points to their shooting outcomes in one
+    pass; the whole grid takes one call.  Each bisection call then labels
+    the next _BISECT_LEVELS levels of the tree under the current bracket
+    at once: its 2**_BISECT_LEVELS - 1 midpoints in heap order, each
+    formed as 0.5 * (a + b) from its parent interval.  The walk down that
+    tree makes the one-midpoint-at-a-time loop's decisions (stop once
+    b - a <= tol * a, end at a surviving midpoint), so the result is
+    bitwise that loop's.  Raises one_sided when no grid point collapses,
+    unbracketed when no adjacent grid pair flips from collapse to
+    underflow.
     """
     labels = list(modes(grid))
     pair = None
     for i in range(len(grid) - 1):
-        if labels[i] == below and labels[i + 1] == above:
+        if labels[i] == MONOTONICITY_VIOLATED and labels[i + 1] == NUMERIC_UNDERFLOW:
             pair = (grid[i], grid[i + 1])
     if pair is None:
-        raise one_sided if below not in labels else unbracketed
+        raise one_sided if MONOTONICITY_VIOLATED not in labels else unbracketed
     a, b = pair
     while b - a > tol * a:
         los, his, mids = [a], [b], []
@@ -742,65 +727,44 @@ def _scan_bisect(modes, grid, below, above, survived, tol, one_sided, unbrackete
         labels = modes(np.array(mids))
         i = 0
         while i < len(mids) and b - a > tol * a:
-            if labels[i] == survived:
+            if labels[i] == SURVIVED:
                 return mids[i]
-            if labels[i] == below:
+            if labels[i] == MONOTONICITY_VIOLATED:
                 a, i = mids[i], 2 * i + 2
             else:
                 b, i = mids[i], 2 * i + 1
     return 0.5 * (a + b)
 
 
-def _find_x1_compact(model, tail, config) -> float:
-    eng = _compact_engine(model, tail)
-    lo_x, hi_x = config.x1_bracket
-    lo = -math.log1p(-min(lo_x, 1.0 - 1e-12))
-    hi = -math.log1p(-min(hi_x, 1.0 - 1e-12))
-    k_cap = min(config.k_max, 60)
-    L1 = _scan_bisect(
-        # the engine's own scalar H per lane: the labels near the flip
-        # depend on its last bits
-        lambda L1s: _forward_L_shoot(eng.A0, eng.s, eng.H, L1s, k_cap),
-        np.geomspace(lo, hi, 120), "collapse", "boundary", "survived",
-        _BISECTION_TOL,
-        NonMonotonePredicateError(
-            "no undershoot mode inside the bracket; fall back to "
-            "finite_horizon_optimize"
-        ),
-        BracketError(
-            "x1 bracket does not straddle the collapse/boundary transition",
-            lo=lo_x, hi=hi_x,
-        ),
-    )
-    return -math.expm1(-L1)
-
-
 def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float:
     """Bisection for x1 on the forward shooting outcome.
 
     Undershoot dies by monotonicity collapse, overshoot by numeric
-    underflow (half line) or boundary crossing (unit interval); the
-    transition between the two modes pins x1.  Far from the root both
-    sides eventually underflow, so the scan looks for the adjacent
+    underflow (on the unit interval: by crossing x = 1); the transition
+    between the two modes pins x1.  Far from the root both sides
+    eventually underflow, so the scan looks for the adjacent
     collapse-then-underflow pair rather than assuming the whole bracket
-    is two-sided.
+    is two-sided.  Both supports shoot through their engine's lane step
+    in its working coordinate, x or L, in array passes.
     """
     config = config or SolverConfig()
     tail = classify_tail(model)
     if tail.kind == COMPACT_TERMINATING:
         return 1.0
-    if model.support == UNIT_INTERVAL:
-        return _find_x1_compact(model, tail, config)
-
+    eng = _engine_for(model, tail)
     lo, hi = config.x1_bracket
-    # degenerate start: lift the lower end above pdf underflow
-    while model.pdf(lo) < 1e-300 and lo < hi / 4:
-        lo *= 10.0
+    if eng.coord == "x":
+        # degenerate start: lift the lower end above pdf underflow
+        while model.pdf(lo) < 1e-300 and lo < hi / 4:
+            lo *= 10.0
+        g0, u_lo, u_hi = model.survival(0.0), lo, hi
+    else:
+        g0 = eng.hc(0.0)
+        u_lo, u_hi = (-math.log1p(-min(x, 1.0 - 1e-12)) for x in (lo, hi))
     k_cap = min(config.k_max, 60)
-    return _scan_bisect(
-        lambda x1s: _shoot_modes(model, x1s, k_cap),
-        np.geomspace(lo, hi, 120), MONOTONICITY_VIOLATED, NUMERIC_UNDERFLOW, SURVIVED,
-        _BISECTION_TOL,
+    u1 = _scan_bisect(
+        lambda u1s: _shoot_modes(eng.shoot, g0, u1s, k_cap),
+        np.geomspace(u_lo, u_hi, 120), _BISECTION_TOL,
         NonMonotonePredicateError(
             "no monotonicity-collapse mode inside the bracket; the "
             "shooting predicate is one-sided here, fall back to "
@@ -811,6 +775,7 @@ def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float
             lo=lo, hi=hi,
         ),
     )
+    return eng.to_x(u1)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,16 @@ def test_brentq_invert_index(spec, k, monkeypatch):
     _same_as_scipy(monkeypatch, A, lambda: A.invert_index(model, k, x_low=x_low))
 
 
+def test_brentq_chained_index_law_far_out(monkeypatch):
+    # past x ~ 1e140 the two slopes of the extrapolating step underflow to a
+    # zero product; scipy's C divides to inf there and bisects
+    model = L.parse_spec("lognormal:1")
+    _same_as_scipy(
+        monkeypatch, A,
+        lambda: A.predict_sequence(model, A.LAW_INDEX_INTEGRAL, [10000, 15000]).values[15000],
+    )
+
+
 @pytest.mark.parametrize("closed", [True, False])
 def test_brentq_custom_inverse_cumulative_hazard(closed, monkeypatch):
     model = L.custom(

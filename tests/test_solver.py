@@ -283,12 +283,32 @@ def test_custom_model_solves_like_builtin():
     built = solved("lomax:3", 60)
     rel = np.abs(seq.points[1:] - built.points[1:]) / built.points[1:]
     assert np.max(rel) < 1e-10
-    # no log-gap forms for a custom compact-rv hazard: a typed refusal
-    model = custom_compact_rv()
-    for route in (L.solve, L.find_x1, lambda m, c: L.finite_horizon_optimize(m, 40, c)):
-        with pytest.raises(L.NotApplicableError) as info:
-            route(model, config)
-        assert cli._exit_code(info.value) == cli.EXIT_USAGE
+    # no log-gap forms for a custom unit-interval model: a typed refusal,
+    # also for a compact power law whose declared index (2) is not its
+    # hazard's (3)
+    power = L.custom(
+        lambda x: 3.0 / (1.0 - x),
+        support="unit-interval",
+        tail=L.TailClass("compact-powerlaw", index=2.0),
+    )
+    seq = L.TurningSequence([0.0, 0.5, 0.8, 0.95], False, "custom")
+    routes = (
+        L.solve, L.find_x1, lambda m, c: L.finite_horizon_optimize(m, 40, c),
+        lambda m, c: L.recurrence_residual(m, seq),
+    )
+    for model in (custom_compact_rv(), power):
+        for route in routes:
+            with pytest.raises(L.NotApplicableError) as info:
+                route(model, config)
+            assert cli._exit_code(info.value) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("spec", ["uniform", "compactpower:0.5"])
+def test_terminating_compacts_have_no_residual_rows(spec):
+    # the plan reaches 1 in one pass: no stationarity chain to certify
+    seq = L.TurningSequence([0.0, 0.5, 0.8, 0.95], False, spec)
+    with pytest.raises(L.NotApplicableError):
+        L.recurrence_residual(L.parse_spec(spec), seq)
 
 
 @pytest.mark.parametrize("spec", ["compactpower:4", "compactpower:5", "compactpower:10"])
@@ -426,6 +446,12 @@ def test_lognormal_solves_at_large_k(spec):
 FIND_X1_PINNED = {
     "lomax:3": "0x1.d3a795c7ccaaep-2",
     "exponential:1": "0x1.5a6a5a2d9311ap+0",
+    # the unit interval's log-gap shots, before they ran through the
+    # half line's lane kernel
+    "triangular": "0x1.4feb6b1ff7697p-1",
+    "compactpower:3": "0x1.c5b3eac40eae8p-2",
+    "compactfast:1,1": "0x1.8de366edeef8bp-1",
+    "compactfast:2,0.5": "0x1.37d987769cde1p-1",
 }
 
 
@@ -477,6 +503,14 @@ def _scalar_L_mode(A0, s, H, L1, k_max):
     return "survived"
 
 
+# _scalar_L_mode's outcomes as the lane kernel labels them
+_L_MODES = {
+    "boundary": S.NUMERIC_UNDERFLOW,
+    "collapse": S.MONOTONICITY_VIOLATED,
+    "survived": S.SURVIVED,
+}
+
+
 @pytest.mark.parametrize(
     "spec", ["lomax:3", "exponential:1", "lognormal:1", "triangular", "compactfast:1,1"]
 )
@@ -486,16 +520,17 @@ def test_batched_modes_match_per_point_shooting(spec):
     model = L.parse_spec(spec)
     x1 = L.find_x1(model)
     zoom = x1 * (1.0 + np.linspace(-1e-9, 1e-9, 120))
+    eng = S._engine_for(model, L.classify_tail(model))
     if model.support == "half-line":
         grid = np.concatenate([np.geomspace(1e-6, 50.0, 120), zoom])
-        batched = S._shoot_modes(model, grid, 60)
+        batched = S._shoot_modes(eng.shoot, model.survival(0.0), grid, 60)
         single = [L.shoot_forward(model, x, 60).outcome for x in grid]
     else:
-        eng = S._compact_engine(model, L.classify_tail(model))
+        A0, b = model.edge_hazard
         lo, hi = -math.log1p(-1e-6), -math.log1p(-(1.0 - 1e-12))
         grid = np.concatenate([np.geomspace(lo, hi, 120), -np.log1p(-zoom)])
-        batched = S._forward_L_shoot(eng.A0, eng.s, eng.H, grid, 60)
-        single = [_scalar_L_mode(eng.A0, eng.s, eng.hc, L1, 60) for L1 in grid]
+        batched = S._shoot_modes(eng.shoot, 0.0, grid, 60)
+        single = [_L_MODES[_scalar_L_mode(A0, 1.0 + b, eng.hc, L1, 60)] for L1 in grid]
     assert list(batched) == single
     assert len(set(single)) >= 2
 

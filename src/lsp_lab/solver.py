@@ -15,6 +15,7 @@ Three routes to the same object:
   true orbit.  A one-parameter dial shifts the seed along the asymptotic
   law; landing at the origin pins it loosely, and a Newton polish of the
   whole chain certifies the orbit, to any horizon floats can express.
+  Power-law tails run that Newton first, from the law, and shoot only if it fails.
 - finite_horizon_optimize minimizes the truncated objective directly
   (a Newton polish of the stationarity chain for each live count in
   turn, warm-started from the previous count, on both supports) and is
@@ -605,21 +606,44 @@ def _solve_reverse(eng: _Engine, k_max: int, pad: int, xtol: float) -> np.ndarra
 
 _PAD_POWER_LAW = 14
 _PAD_DEFAULT = 10
-# brentq's dial tolerance; a loose one moves a power law's far end past its pad
+# brentq's dial tolerance; in the power-law fallback a loose one moves the far end past its pad
 _XTOL_POWER_LAW = 1e-15
 _XTOL_DEFAULT = 1e-4
+_NEWTON_PADS = (40, 80, 160, 320)
+
+
+def _newton_power(eng: _Engine, k_max: int) -> Optional[tuple[np.ndarray, int]]:
+    """A power law's chain, Newton from its geometric law: (u_0..u_{k_max}, pad) or None.
+
+    Pad by pad, seed u_k = law(k) to K + 1 = k_max + pad + 1, hold u_0 and
+    u_{K+1}, and polish to 1e-14 of scale (1e-12 leaves lomax:8's x1 4e-12
+    off).  Two successive pads that agree on slots 1..k_max to 1e-13 relative
+    certify the truncation.  None where a polish fails, the law overflows
+    before a second pad, or no two pads agree.
+    """
+    prev = None
+    try:
+        eng.law(k_max + _NEWTON_PADS[1] + 1)
+        for pad in _NEWTON_PADS:
+            us = np.array([0.0] + [eng.law(k) for k in range(1, k_max + pad + 2)])
+            _polish(eng, us, 1, tol=1e-14)
+            if prev is not None and np.all(np.abs(us[: k_max + 1] - prev) <= 1e-13 * prev):
+                return us[: k_max + 1], pad
+            prev = us[: k_max + 1]
+    except ConvergenceError:
+        pass
+    return None
 
 
 def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> TurningSequence:
     """Optimal turning points out to config.k_max.
 
-    Terminating targets return [0, 1] directly.  Everything else goes
-    through the reverse-shooting engine, a dial landed loosely (tightly on
-    power laws) and a Newton polish of the whole chain: every
-    recurrence_residual row is under 1e-12, or ConvergenceError, also for a
-    dial bracket that ends where orbits die.  x1 is then cross-checked
-    against find_x1 and the finite-horizon optimizer; disagreement is
-    logged and recorded in the sequence diagnostics.
+    Terminating targets return [0, 1] directly.  Power-law tails try Newton
+    from the law first; everything else, and any power law it does not
+    certify, shoots reverse orbits and polishes the chain.  Every
+    recurrence_residual row is under 1e-12, or ConvergenceError.  x1 is then
+    cross-checked against find_x1 and the finite-horizon optimizer, with
+    disagreement logged; the diagnostics record the route, pad and findings.
     """
     config = config or SolverConfig()
     check_finite_mean(model)
@@ -635,13 +659,15 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
     eng = _engine_for(model, tail)
     power = tail.kind == POWER_LAW
     pad, xtol = (_PAD_POWER_LAW, _XTOL_POWER_LAW) if power else (_PAD_DEFAULT, _XTOL_DEFAULT)
-    us = _solve_reverse(eng, config.k_max, pad, xtol)
+    newton = _newton_power(eng, config.k_max) if power else None
+    us, pad = newton or (_solve_reverse(eng, config.k_max, pad, xtol), pad)
     in_L = eng.coord == "L"
     seq = TurningSequence(
         points=-np.expm1(-us) if in_L else us,
         terminated=False,
         model_id=model.spec_string(),
         log_gaps=us if in_L else None,
+        diagnostics={"route": "reverse" if newton is None else "newton", "pad": pad},
     )
 
     if config.cross_check:
@@ -761,9 +787,8 @@ def find_x1(model: DensityModel, config: Optional[SolverConfig] = None) -> float
     else:
         g0 = eng.hc(0.0)
         u_lo, u_hi = (-math.log1p(-min(x, 1.0 - 1e-12)) for x in (lo, hi))
-    k_cap = min(config.k_max, 60)
     u1 = _scan_bisect(
-        lambda u1s: _shoot_modes(eng.shoot, g0, u1s, k_cap),
+        lambda u1s: _shoot_modes(eng.shoot, g0, u1s, 60),  # x1 does not depend on k_max
         np.geomspace(u_lo, u_hi, 120), _BISECTION_TOL,
         NonMonotonePredicateError(
             "no monotonicity-collapse mode inside the bracket; the "
@@ -804,7 +829,7 @@ def _chain(eng: _Engine, us: np.ndarray, first: int):
 _HALVINGS = 0.5 ** np.arange(40)  # the polish's trial step lengths, longest first
 
 
-def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
+def _polish(eng: _Engine, us: np.ndarray, first: int, tol: float = 1e-12) -> None:
     """Banded Newton on the stationarity chain over slots first..n-1, in place.
 
     Each step takes the longest of 1, 1/2, .., 2**-39 times the Newton
@@ -812,7 +837,7 @@ def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
     u_n; all 40 trials are tested in one array pass.  Raises
     ConvergenceError when no trial is ordered, when a row leaves the
     domain of log W, or when 60 steps do not bring every residual under
-    1e-12 of its scale.
+    tol of its scale.
     """
     n = len(us) - 1
     for _ in range(60):
@@ -823,7 +848,7 @@ def _polish(eng: _Engine, us: np.ndarray, first: int) -> None:
                 f"stationarity-chain Newton left the domain of log W at slot {dead[0]}",
                 last_iterate=us,
             )
-        if np.all(np.abs(res) < 1e-12 * scale):
+        if np.all(np.abs(res) < tol * scale):
             return
         step = solve_tridiagonal(lo[1:], mid, hi[:-1], -res)
         if step is None:  # singular or non-finite bands

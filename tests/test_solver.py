@@ -5,6 +5,7 @@ ways (reverse landing, bisection shooting, finite-horizon optimizer);
 any drift past 1e-9 is a real regression, not noise.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -461,6 +462,21 @@ def test_find_x1_is_bitwise_pinned(spec, want):
     assert got.hex() == want
 
 
+@pytest.mark.parametrize(
+    "spec,k_max",
+    [("triangular", 3), ("compactfast:1,1", 2), ("lognormal:1", 10), ("lognormal:2", 20),
+     ("exponential:1", 3)],
+)
+def test_find_x1_shoots_past_a_small_k_max(spec, k_max):
+    # shots capped at k_max refuted these x1 (by 2.1e-4 to 1.4e-5) or found
+    # no collapse mode; x1 does not depend on k_max
+    model = L.parse_spec(spec)
+    assert L.find_x1(model, L.SolverConfig(k_max=k_max)) == L.find_x1(model)
+    diag = L.solve(model, L.SolverConfig(k_max=k_max)).diagnostics
+    assert "x1_bisection_error" not in diag
+    assert diag["x1_bisection_reldev"] <= 1e-11
+
+
 @pytest.mark.parametrize("a", [0.1, 1, 10])
 @pytest.mark.parametrize("b", [3, 5])
 def test_stretched_exp_steep_hazards_solve_certified(a, b):
@@ -556,6 +572,57 @@ def test_halfline_oracle_runs_without_scalar_descent(spec, monkeypatch):
 def test_power_law_seed_law_overflow_is_typed(spec, k_max):
     with pytest.raises(L.ConvergenceError, match="seed law overflows at index"):
         L.solve(L.parse_spec(spec), L.SolverConfig(k_max=k_max))
+
+
+def test_power_law_solves_make_no_reverse_orbit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a power-law solve shot a reverse orbit")
+
+    monkeypatch.setattr(S, "_orbit", refuse)
+    for spec, k_max in SOLVE_CROSSCHECK:
+        if spec.startswith("lomax:"):
+            seq = L.solve(L.parse_spec(spec), L.SolverConfig(k_max=k_max))
+            assert seq.diagnostics["route"] == "newton"
+            assert not [k for k in seq.diagnostics if k.endswith("_error")]
+
+
+@pytest.mark.parametrize("k_max", [20, 60, 200])
+@pytest.mark.parametrize("a", [1.2, 1.5, 2, 2.5, 3, 4, 6, 10])
+def test_power_law_newton_agrees_with_reverse_shooting(a, k_max):
+    model = L.parse_spec(f"lomax:{a}")
+    seq = L.solve(model, L.SolverConfig(k_max=k_max, cross_check=False))
+    assert seq.diagnostics["route"] == "newton"
+    eng = S._engine_for(model, L.classify_tail(model))
+    shot = S._solve_reverse(eng, k_max, S._PAD_POWER_LAW, S._XTOL_POWER_LAW)
+    assert np.max(np.abs(seq.points[1:] - shot[1:]) / shot[1:]) <= 2e-12
+
+
+# (x1, x_60, sha256 of the 61 points as float.hex) where Newton from the
+# law falls back to reverse shooting, captured before the Newton route
+POWER_LAW_FALLBACKS = {
+    # the pads still disagree by 6e-6 at pad 320
+    "lomax:1.05": ("0x1.5381c81a106b5p+0", "0x1.22f79e3c4adc2p+107", "ac010aa096e0dabc"),
+    # the polish finds no ordered step
+    "lomax:20": ("0x1.15b84ab3710f3p-4", "0x1.743a99d2bd202p+15", "4ad18231eec62683"),
+}
+
+
+@pytest.mark.parametrize("spec,want", sorted(POWER_LAW_FALLBACKS.items()))
+def test_power_law_fallback_is_bitwise_reverse_shooting(spec, want):
+    seq = L.solve(L.parse_spec(spec), L.SolverConfig(k_max=60, cross_check=False))
+    pts = seq.points
+    digest = hashlib.sha256(" ".join(map(float.hex, pts)).encode()).hexdigest()[:16]
+    assert (pts[1].hex(), pts[-1].hex(), digest) == want
+    assert seq.diagnostics == {"route": "reverse", "pad": S._PAD_POWER_LAW}
+
+
+@pytest.mark.parametrize(
+    "spec,route,pad", [("lomax:3", "newton", 80), ("exponential:1", "reverse", S._PAD_DEFAULT)]
+)
+def test_solve_records_its_route_and_pad(spec, route, pad):
+    seq = solved(spec, 200)
+    assert (seq.diagnostics["route"], seq.diagnostics["pad"]) == (route, pad)
+    assert "diagnostics" not in seq.to_dict() and "route" not in seq.to_dict()
 
 
 def test_compact_oracle_reldev_reads_log_gaps():

@@ -10,12 +10,11 @@ Three routes to the same object:
   no float x1 survives more than a dozen steps on most families.  The
   failure *mode* (collapse versus underflow) still flips cleanly across
   the true x1, which is what the bisection actually uses.
-- solve integrates the recurrence in reverse from deep-tail asymptotic
-  seeds, where the same instability works for us: contraction toward the
-  true orbit.  A one-parameter dial shifts the seed along the asymptotic
-  law; landing at the origin pins it loosely, and a Newton polish of the
-  whole chain certifies the orbit, to any horizon floats can express.
-  Power-law tails run that Newton first, from the law, and shoot only if it fails.
+- solve polishes the whole stationarity chain by a banded Newton from the
+  deep-tail asymptotic law, its far end riding the law with a free shift
+  on the half line.  Elsewhere, or where that does not certify, it shoots
+  the recurrence in reverse from the law's seeds, a dial shifting them
+  until the orbit lands at the origin, and the same polish finishes.
 - finite_horizon_optimize minimizes the truncated objective directly
   (a Newton polish of the stationarity chain for each live count in
   turn, warm-started from the previous count, on both supports) and is
@@ -372,11 +371,11 @@ def _halfline_engine(model: DensityModel, tail: density_kit.TailClass) -> _Engin
         return out
 
     if tail.kind == POWER_LAW:
-        # geometric deep orbit; the dial absorbs the prefactor
+        # geometric deep orbit; the law's shift absorbs the prefactor
         r = asymptotics.pareto_rate(tail.index)
         law = _overflow_checked(model, lambda t: 0.5 * r**t)
     else:
-        # the dial absorbs the table's offset from the exact law
+        # the law's shift (theta, or the dial) absorbs the table's offset
         law = asymptotics.tabulate_index(model)
 
     def next_slot(k, u_prev, u_n):
@@ -527,8 +526,8 @@ def _orbit(eng: _Engine, uK: float, uK1: float, K: int):
 _LOW = -1.0e6  # sentinel: orbit died or stalled, dial is below the root
 
 
-def _solve_reverse(eng: _Engine, k_max: int, pad: int, xtol: float) -> np.ndarray:
-    """The reverse orbit that lands at the origin, polished: u_0..u_{k_max}.
+def _solve_reverse(eng: _Engine, k_max: int, pad: int, xtol: float) -> tuple:
+    """The reverse orbit that lands at the origin, polished: (u_0..u_{k_max}, bands, diagnostics).
 
     The landing residual along the dial is a narrow valley (negative,
     crossing zero at the root) surrounded by sentinel/stall regions.  The
@@ -598,52 +597,79 @@ def _solve_reverse(eng: _Engine, k_max: int, pad: int, xtol: float) -> np.ndarra
     v, us = min((e for e in orbits.values() if e[0] > _LOW), key=lambda e: abs(e[0]))
     log.debug("%s: dial=%.6f landing=%.3e", eng.name, ths, v)
     try:
-        _polish(eng, us, 1)
+        _, steps, bands = _polish(eng, us, 1)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{eng.name}: reverse orbit not certified: {exc}") from None
-    return us[: k_max + 1].copy()
+    diag = {"route": "reverse", "pad": pad, "theta": ths, "newton_steps": [steps]}
+    return us[: k_max + 1].copy(), bands, diag
 
 
 _PAD_POWER_LAW = 14
 _PAD_DEFAULT = 10
-# brentq's dial tolerance; in the power-law fallback a loose one moves the far end past its pad
+# brentq's dial tolerance; a loose one moves a power law's far end past its pad
 _XTOL_POWER_LAW = 1e-15
 _XTOL_DEFAULT = 1e-4
-_NEWTON_PADS = (40, 80, 160, 320)
 
 
-def _newton_power(eng: _Engine, k_max: int) -> Optional[tuple[np.ndarray, int]]:
-    """A power law's chain, Newton from its geometric law: (u_0..u_{k_max}, pad) or None.
+def _newton_law(eng: _Engine, k_max: int) -> Optional[tuple]:
+    """Newton from a half-line seed law: (u_0..u_{k_max}, bands, diagnostics) or None.
 
-    Pad by pad, seed u_k = law(k) to K + 1 = k_max + pad + 1, hold u_0 and
-    u_{K+1}, and polish to 1e-14 of scale (1e-12 leaves lomax:8's x1 4e-12
-    off).  Two successive pads that agree on slots 1..k_max to 1e-13 relative
+    At pads 20 and then 40, seed u_k = law(k + theta) to K + 1 = k_max +
+    pad + 1 and polish to 1e-14 of scale with theta free; the second pad
+    seeds from the first's theta, not its chain, so the polishes stay
+    independent.  Pads that agree on slots 1..k_max to 1e-11 relative
     certify the truncation.  None where a polish fails, the law overflows
-    before a second pad, or no two pads agree.
+    at the second pad's far end, or the pads disagree.
     """
-    prev = None
+    prev, theta, steps = None, 0.0, []
     try:
-        eng.law(k_max + _NEWTON_PADS[1] + 1)
-        for pad in _NEWTON_PADS:
-            us = np.array([0.0] + [eng.law(k) for k in range(1, k_max + pad + 2)])
-            _polish(eng, us, 1, tol=1e-14)
-            if prev is not None and np.all(np.abs(us[: k_max + 1] - prev) <= 1e-13 * prev):
-                return us[: k_max + 1], pad
+        eng.law(k_max + 41)
+        for pad in (20, 40):
+            us = np.array([0.0] + [eng.law(k + theta) for k in range(1, k_max + pad + 2)])
+            theta, n, bands = _polish(eng, us, 1, tol=1e-14, theta=theta)
+            steps.append(n)
+            if prev is not None and np.all(np.abs(us[: k_max + 1] - prev) <= 1e-11 * prev):
+                diag = {"route": "newton", "pad": pad, "theta": theta, "newton_steps": steps}
+                return us[: k_max + 1], bands, diag
             prev = us[: k_max + 1]
     except ConvergenceError:
         pass
     return None
 
 
+def _min_pivot(name: str, bands, k_max: int) -> tuple[float, int]:
+    """The smallest LU pivot of the chain's Jacobian on rows 1..k_max, and its slot.
+
+    At a stationary point the Jacobian is a positive diagonal times the
+    Hessian, so its pivots count the Hessian's negative eigenvalues
+    (Sylvester); scaling by sqrt|diag| on both sides keeps heavy-tail
+    pivots from underflowing.  A saddle raises ConvergenceError at its slot.
+    """
+    lo, mid, hi = (b[:k_max] for b in bands)
+    s = np.sqrt(np.abs(mid))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = [0.0] + ((lo[1:] / (s[1:] * s[:-1])) * (hi[:-1] / (s[:-1] * s[1:]))).tolist()
+    d, pivots = 1.0, []
+    for m, pk in zip(np.sign(mid).tolist(), p):
+        d = m - pk / d
+        if not d > 0.0:
+            raise ConvergenceError(f"{name}: the stationary chain is a saddle, not a "
+                                   f"minimum: pivot {d:.3g} at slot {len(pivots) + 1}")
+        pivots.append(d)
+    return min(pivots), pivots.index(min(pivots)) + 1
+
+
 def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> TurningSequence:
     """Optimal turning points out to config.k_max.
 
-    Terminating targets return [0, 1] directly.  Power-law tails try Newton
-    from the law first; everything else, and any power law it does not
-    certify, shoots reverse orbits and polishes the chain.  Every
-    recurrence_residual row is under 1e-12, or ConvergenceError.  x1 is then
+    Terminating targets return [0, 1] directly.  Half-line tails try Newton
+    from the seed law first; the unit interval, and any chain it does not
+    certify, shoot reverse orbits and polish the chain.  Every
+    recurrence_residual row is under 1e-12 and no pivot of the Jacobian on
+    rows 1..k_max is negative, or ConvergenceError.  x1 is then
     cross-checked against find_x1 and the finite-horizon optimizer, with
-    disagreement logged; the diagnostics record the route, pad and findings.
+    disagreement logged; the diagnostics record the route, pad, theta,
+    Newton steps per pad, smallest pivot and its slot, and the findings.
     """
     config = config or SolverConfig()
     check_finite_mean(model)
@@ -659,15 +685,16 @@ def solve(model: DensityModel, config: Optional[SolverConfig] = None) -> Turning
     eng = _engine_for(model, tail)
     power = tail.kind == POWER_LAW
     pad, xtol = (_PAD_POWER_LAW, _XTOL_POWER_LAW) if power else (_PAD_DEFAULT, _XTOL_DEFAULT)
-    newton = _newton_power(eng, config.k_max) if power else None
-    us, pad = newton or (_solve_reverse(eng, config.k_max, pad, xtol), pad)
+    found = _newton_law(eng, config.k_max) if eng.coord == "x" else None
+    us, bands, diag = found or _solve_reverse(eng, config.k_max, pad, xtol)
+    diag["min_pivot"], diag["min_pivot_slot"] = _min_pivot(eng.name, bands, config.k_max)
     in_L = eng.coord == "L"
     seq = TurningSequence(
         points=-np.expm1(-us) if in_L else us,
         terminated=False,
         model_id=model.spec_string(),
         log_gaps=us if in_L else None,
-        diagnostics={"route": "reverse" if newton is None else "newton", "pad": pad},
+        diagnostics=diag,
     )
 
     if config.cross_check:
@@ -829,18 +856,21 @@ def _chain(eng: _Engine, us: np.ndarray, first: int):
 _HALVINGS = 0.5 ** np.arange(40)  # the polish's trial step lengths, longest first
 
 
-def _polish(eng: _Engine, us: np.ndarray, first: int, tol: float = 1e-12) -> None:
+def _polish(eng: _Engine, us: np.ndarray, first: int, tol: float = 1e-12, theta=None):
     """Banded Newton on the stationarity chain over slots first..n-1, in place.
 
     Each step takes the longest of 1, 1/2, .., 2**-39 times the Newton
     step that keeps the slots strictly ordered between u_{first-1} and
-    u_n; all 40 trials are tested in one array pass.  Raises
-    ConvergenceError when no trial is ordered, when a row leaves the
-    domain of log W, or when 60 steps do not bring every residual under
-    tol of its scale.
+    u_n; all 40 trials are tested in one array pass.  Given a shift
+    theta, the far end rides the seed law, u_{n-1} = law(n-1+theta) and
+    u_n = law(n+theta): theta takes u_{n-1}'s column scaled by law', and
+    row n-1 adds u_n's entry times its law'.  Returns (theta, steps, the
+    final bands lo, mid, hi).  Raises ConvergenceError when no trial is
+    ordered, when a row leaves the domain of log W, or when 60 steps do
+    not bring every residual under tol of its scale.
     """
     n = len(us) - 1
-    for _ in range(60):
+    for steps in range(60):
         res, lo, mid, hi, scale = _chain(eng, us, first)
         dead = first + np.flatnonzero(np.isnan(res))
         if dead.size:
@@ -849,22 +879,32 @@ def _polish(eng: _Engine, us: np.ndarray, first: int, tol: float = 1e-12) -> Non
                 last_iterate=us,
             )
         if np.all(np.abs(res) < tol * scale):
-            return
+            return theta, steps, (lo, mid, hi)
+        slope = far = 0.0  # law' at u_{n-1} and u_n, by central differences
+        if theta is not None:
+            slope, far = ((eng.law(t + 1e-4) - eng.law(t - 1e-4)) / 2e-4
+                          for t in (n - 1 + theta, n + theta))
+            hi[-2], mid[-1] = hi[-2] * slope, mid[-1] * slope + hi[-1] * far
         step = solve_tridiagonal(lo[1:], mid, hi[:-1], -res)
         if step is None:  # singular or non-finite bands
             break
-        trials = us[first:n] + _HALVINGS[:, None] * step
+        du = step if theta is None else np.append(step[:-1], slope * step[-1])
+        trials = us[first:n] + _HALVINGS[:, None] * du
         ordered = (
             (trials[:, 0] > us[first - 1])
             & np.all(trials[:, 1:] > trials[:, :-1], axis=1)
-            & (trials[:, -1] < us[n])
+            & (trials[:, -1] < us[n] + _HALVINGS * (far * step[-1]))
         )
         if not ordered.any():
             raise ConvergenceError(
                 "stationarity-chain Newton found no step that keeps the slots ordered",
                 last_iterate=us,
             )
-        us[first:n] += _HALVINGS[ordered.argmax()] * step
+        a = float(_HALVINGS[ordered.argmax()])
+        us[first:n] += a * du
+        if theta is not None:  # a float, so that the law raises its overflow
+            theta += a * float(step[-1])
+            us[n - 1], us[n] = eng.law(n - 1 + theta), eng.law(n + theta)
     raise ConvergenceError(
         "stationarity-chain Newton did not converge in 60 steps", last_iterate=us
     )

@@ -377,10 +377,13 @@ SOLVE_CROSSCHECK = [("lomax:2", 200), ("lomax:2.5", 200), ("lomax:3", 200), ("lo
                     ("compactfast:1,0.5", 120)]
 
 
-@pytest.mark.parametrize("spec,k_max", SOLVE_SEEDLAW)
+@pytest.mark.parametrize(
+    "spec,k_max",
+    SOLVE_SEEDLAW + [(spec, k) for spec, k in SOLVE_CROSSCHECK if not spec.startswith("lomax:")],
+)
 def test_loose_dial_orbit_budget(spec, k_max, monkeypatch):
-    # the dial lands to 1e-4 and the polish finishes: 16-22 orbits per solve
-    # when brentq pinned the dial to 1e-15
+    # compact tails land the dial to 1e-4 and polish the chain: 5-16 orbits
+    # per solve; half-line tails run Newton from the law and shoot none
     orbit, calls = S._orbit, []
 
     def counted(*args):
@@ -388,8 +391,9 @@ def test_loose_dial_orbit_budget(spec, k_max, monkeypatch):
         return orbit(*args)
 
     monkeypatch.setattr(S, "_orbit", counted)
-    L.solve(L.parse_spec(spec), L.SolverConfig(k_max=k_max, cross_check=False))
-    assert 0 < len(calls) <= 13
+    model = L.parse_spec(spec)
+    L.solve(model, L.SolverConfig(k_max=k_max, cross_check=False))
+    assert (0 < len(calls) <= 16) if model.support == "unit-interval" else not calls
 
 
 @pytest.mark.parametrize("spec,k_max", SOLVE_SEEDLAW + SOLVE_CROSSCHECK)
@@ -496,10 +500,13 @@ def test_stretched_exp_masked_pdf_leaves_answers_bitwise():
     config = L.SolverConfig(k_max=200)
     assert L.find_x1(model, config).hex() == "0x1.19648446fca63p+1"
     pts = L.solve(model, config).points
-    # solve's polished chain; the tight-dial orbit gave the second pair
-    assert (pts[1].hex(), pts[-1].hex()) == ("0x1.19648446fc963p+1", "0x1.b7c914979fdfap+5")
-    old = (float.fromhex("0x1.19648446fcce5p+1"), float.fromhex("0x1.b7c914979fe01p+5"))
-    assert (pts[1], pts[-1]) == pytest.approx(old, rel=1e-12, abs=0.0)
+    # Newton from the law; the polished reverse orbit gave the second pair,
+    # the tight-dial orbit the third
+    assert (pts[1].hex(), pts[-1].hex()) == ("0x1.19648446fc963p+1", "0x1.b7c914979fdfbp+5")
+    for old in (("0x1.19648446fc963p+1", "0x1.b7c914979fdfap+5"),
+                ("0x1.19648446fcce5p+1", "0x1.b7c914979fe01p+5")):
+        old = tuple(map(float.fromhex, old))
+        assert (pts[1], pts[-1]) == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
 def _scalar_L_mode(A0, s, H, L1, k_max):
@@ -575,15 +582,58 @@ def test_power_law_seed_law_overflow_is_typed(spec, k_max):
 
 
 def test_power_law_solves_make_no_reverse_orbit(monkeypatch):
+    # and neither do the index-law tails: every half-line benchmark solve
     def refuse(*args):
-        raise AssertionError("a power-law solve shot a reverse orbit")
+        raise AssertionError("a half-line solve shot a reverse orbit")
 
     monkeypatch.setattr(S, "_orbit", refuse)
-    for spec, k_max in SOLVE_CROSSCHECK:
-        if spec.startswith("lomax:"):
+    for spec, k_max in SOLVE_CROSSCHECK + SOLVE_SEEDLAW:
+        if L.parse_spec(spec).support == "half-line":
             seq = L.solve(L.parse_spec(spec), L.SolverConfig(k_max=k_max))
             assert seq.diagnostics["route"] == "newton"
             assert not [k for k in seq.diagnostics if k.endswith("_error")]
+
+
+@pytest.mark.parametrize("k_max", [20, 60, 200])
+@pytest.mark.parametrize(
+    "spec",
+    ["exponential:1", "stretchedexp:1,1", "gumbel:1", "logboundary:0.5", "logboundary:2",
+     "lognormal:0.5", "lognormal:1"],
+)
+def test_index_law_newton_agrees_with_reverse_shooting(spec, k_max):
+    model = L.parse_spec(spec)
+    seq = L.solve(model, L.SolverConfig(k_max=k_max, cross_check=False))
+    assert seq.diagnostics["route"] == "newton"
+    eng = S._engine_for(model, L.classify_tail(model))
+    # shot at twice the default pad: at the default pad the orbit itself is
+    # 2.3e-12 off the deep chain on lognormal:1@60, where Newton is 1e-14 off
+    shot = S._solve_reverse(eng, k_max, 2 * S._PAD_DEFAULT, S._XTOL_DEFAULT)[0]
+    assert np.max(np.abs(seq.points[1:] - shot[1:]) / shot[1:]) <= 2e-12
+
+
+@pytest.mark.parametrize("spec", ["lognormal:2.5", "lognormal:3"])
+def test_short_lognormal_chains_match_the_deep_chain(spec):
+    # reverse shooting's pad of 10 left these 6.6e-9 and 3.1e-7 off
+    deep = solved(spec, 200).points[:21]
+    got = solved(spec, 20).points
+    assert np.max(np.abs(got[1:] - deep[1:]) / deep[1:]) <= 1e-10
+
+
+@pytest.mark.parametrize("spec,k_max", [("lognormal:1", 2000), ("exponential:1", 5000)])
+def test_index_law_newton_answers_at_large_k(spec, k_max):
+    # reverse shooting took 1.0 s and 0.5 s here
+    model = L.parse_spec(spec)
+    seq = solved(spec, k_max)
+    assert seq.diagnostics["route"] == "newton"
+    assert seq.is_strictly_increasing()
+    assert np.max(np.abs(L.recurrence_residual(model, seq))) <= 1e-12
+
+
+def test_saddle_chain_is_refused():
+    # the reverse orbit lands on a certified stationary chain whose Hessian
+    # has one negative eigenvalue; the oracle was 0.985 off
+    with pytest.raises(L.ConvergenceError, match="saddle.* at slot 47$"):
+        L.solve(L.parse_spec("lognormal:5"), L.SolverConfig(k_max=60))
 
 
 @pytest.mark.parametrize("k_max", [20, 60, 200])
@@ -593,35 +643,43 @@ def test_power_law_newton_agrees_with_reverse_shooting(a, k_max):
     seq = L.solve(model, L.SolverConfig(k_max=k_max, cross_check=False))
     assert seq.diagnostics["route"] == "newton"
     eng = S._engine_for(model, L.classify_tail(model))
-    shot = S._solve_reverse(eng, k_max, S._PAD_POWER_LAW, S._XTOL_POWER_LAW)
+    shot = S._solve_reverse(eng, k_max, S._PAD_POWER_LAW, S._XTOL_POWER_LAW)[0]
     assert np.max(np.abs(seq.points[1:] - shot[1:]) / shot[1:]) <= 2e-12
 
 
-# (x1, x_60, sha256 of the 61 points as float.hex) where Newton from the
-# law falls back to reverse shooting, captured before the Newton route
-POWER_LAW_FALLBACKS = {
-    # the pads still disagree by 6e-6 at pad 320
-    "lomax:1.05": ("0x1.5381c81a106b5p+0", "0x1.22f79e3c4adc2p+107", "ac010aa096e0dabc"),
-    # the polish finds no ordered step
-    "lomax:20": ("0x1.15b84ab3710f3p-4", "0x1.743a99d2bd202p+15", "4ad18231eec62683"),
+# (x1, x_k_max, sha256 of the points as float.hex) where Newton from the
+# law refuses and reverse shooting answers, captured before the Newton route
+HALF_LINE_FALLBACKS = {
+    # pads 20 and 40 disagree by 8e-10
+    ("lognormal:3.5", 60): ("0x1.654fa94b70c3fp-5", "0x1.693ff03beb698p+73", "88f40f9c8049f897"),
+    # the law overflows at the second pad's far end
+    ("lomax:3", 1000): ("0x1.d3a795c7cc497p-2", "0x1.1b92276f6cb07p+999", "9cc225ee107b2c9e"),
 }
 
 
-@pytest.mark.parametrize("spec,want", sorted(POWER_LAW_FALLBACKS.items()))
-def test_power_law_fallback_is_bitwise_reverse_shooting(spec, want):
-    seq = L.solve(L.parse_spec(spec), L.SolverConfig(k_max=60, cross_check=False))
+@pytest.mark.parametrize("spec,k_max", sorted(HALF_LINE_FALLBACKS))
+def test_half_line_fallback_is_bitwise_reverse_shooting(spec, k_max):
+    model = L.parse_spec(spec)
+    seq = L.solve(model, L.SolverConfig(k_max=k_max, cross_check=False))
     pts = seq.points
     digest = hashlib.sha256(" ".join(map(float.hex, pts)).encode()).hexdigest()[:16]
-    assert (pts[1].hex(), pts[-1].hex(), digest) == want
-    assert seq.diagnostics == {"route": "reverse", "pad": S._PAD_POWER_LAW}
+    assert (pts[1].hex(), pts[-1].hex(), digest) == HALF_LINE_FALLBACKS[spec, k_max]
+    pad = S._PAD_POWER_LAW if L.classify_tail(model).kind == S.POWER_LAW else S._PAD_DEFAULT
+    assert (seq.diagnostics["route"], seq.diagnostics["pad"]) == ("reverse", pad)
 
 
 @pytest.mark.parametrize(
-    "spec,route,pad", [("lomax:3", "newton", 80), ("exponential:1", "reverse", S._PAD_DEFAULT)]
+    "spec,route,pad",
+    [("lomax:3", "newton", 40), ("exponential:1", "newton", 40),
+     ("triangular", "reverse", S._PAD_DEFAULT)],
 )
 def test_solve_records_its_route_and_pad(spec, route, pad):
     seq = solved(spec, 200)
-    assert (seq.diagnostics["route"], seq.diagnostics["pad"]) == (route, pad)
+    diag = seq.diagnostics
+    assert (diag["route"], diag["pad"]) == (route, pad)
+    assert len(diag["newton_steps"]) == (2 if route == "newton" else 1)
+    assert isinstance(diag["theta"], float)
+    assert diag["min_pivot"] > 0.0 and 1 <= diag["min_pivot_slot"] <= 200
     assert "diagnostics" not in seq.to_dict() and "route" not in seq.to_dict()
 
 
